@@ -5,8 +5,9 @@ c_{n+1} + a_n c_n + b_n c_{n-1} = 0 with power-law coefficients has its
 regular energy levels at the zeros of a characteristic function built
 solely from a_n and b_n.  The package evaluates that function two
 independent ways (telescoped series and backward continued fraction),
-scans and refines its zeros, and cross-checks everything against
-truncated Fock-space diagonalization.
+counts the levels below any energy from the forward pivots of the same
+coefficients, isolates and refines every level in a window, and
+cross-checks everything against truncated Fock-space diagonalization.
 """
 
 from .charfunc import (

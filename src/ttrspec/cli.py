@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import sys
 
 import click
@@ -81,6 +82,8 @@ def _require_recurrence(model):
 
 
 def _check_window(x_min, x_max, points):
+    if not (math.isfinite(x_min) and math.isfinite(x_max)):
+        raise click.UsageError("--x-min and --x-max must be finite")
     if not x_min < x_max:
         raise click.UsageError("--x-min must be smaller than --x-max")
     if points < 16:
@@ -258,6 +261,8 @@ def flow(model, kappa, delta, theta, omega, parity, rel_tol, max_terms,
         steps = int(parts[3])
     except ValueError as exc:
         raise click.UsageError(f"bad --sweep values: {exc}") from exc
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise click.UsageError("--sweep bounds must be finite")
     if name not in ("delta", "kappa", "theta", "omega"):
         raise click.UsageError("sweep parameter must be one of "
                                "delta, kappa, theta, omega")

@@ -23,6 +23,13 @@ RECURRENCE_MODELS = ("dho", "rabi", "rabi-parity")
 ORACLE_ONLY_MODELS = ("jc", "gen-rabi", "rabi-modified")
 
 
+def _check_coupling(kappa: float, delta: float = 0.0) -> None:
+    if not (math.isfinite(kappa) and math.isfinite(delta)):
+        raise ValueError("kappa and delta must be finite")
+    if kappa == 0:
+        raise ValueError("kappa must be nonzero")
+
+
 @dataclass(frozen=True)
 class DhoParams:
     """Displaced harmonic oscillator: coupling kappa, frequency omega."""
@@ -31,8 +38,7 @@ class DhoParams:
     omega: float = 1.0
 
     def __post_init__(self):
-        if self.kappa == 0:
-            raise ValueError("kappa must be nonzero")
+        _check_coupling(self.kappa)
         if self.omega <= 0:
             raise ValueError("omega must be positive")
 
@@ -44,8 +50,7 @@ class RabiParams:
     omega: float = 1.0
 
     def __post_init__(self):
-        if self.kappa == 0:
-            raise ValueError("kappa must be nonzero")
+        _check_coupling(self.kappa, self.delta)
         if self.omega <= 0:
             raise ValueError("omega must be positive")
 
@@ -58,8 +63,7 @@ class ParityRabiParams:
     parity: str = PARITY_PLUS
 
     def __post_init__(self):
-        if self.kappa == 0:
-            raise ValueError("kappa must be nonzero")
+        _check_coupling(self.kappa, self.delta)
         if self.omega <= 0:
             raise ValueError("omega must be positive")
         if self.parity not in (PARITY_PLUS, PARITY_MINUS):
@@ -76,8 +80,7 @@ class GenRabiParams:
     theta: float = 0.0
 
     def __post_init__(self):
-        if self.kappa == 0:
-            raise ValueError("kappa must be nonzero")
+        _check_coupling(self.kappa, self.delta)
         if self.omega <= 0:
             raise ValueError("omega must be positive")
 
@@ -151,10 +154,13 @@ def rabi_displaced_recurrence(p: RabiParams) -> Recurrence:
         n1 = math.ceil(x_hi) - 1
         return [float(n) for n in range(n0, n1 + 1)]
 
+    sectors = () if delta == 0.0 else tuple(
+        parity_rabi_recurrence(ParityRabiParams(kappa, delta, p.omega, parity))
+        for parity in (PARITY_PLUS, PARITY_MINUS))
     profile = AsymptoticProfile(delta=0.0, upsilon=-1.0,
                                 a_coef=-1.0 / (2.0 * kappa), b_coef=1.0)
     return Recurrence(a=a, b=b, profile=profile, explicit_poles=poles,
-                      energy_shift=kappa * kappa, label="rabi")
+                      energy_shift=kappa * kappa, label="rabi", sectors=sectors)
 
 
 def parity_rabi_recurrence(p: ParityRabiParams) -> Recurrence:

@@ -12,12 +12,15 @@ one that generates normalizable states; it can be reached reliably only
 by backward continued-fraction evaluation, never by upward iteration.
 
 This module holds the recurrence container, the admissibility check on
-the asymptotic profile, and the tail-ratio seed used to start backward
+the asymptotic profile, the exact count of levels below x from the
+forward pivots, and the tail-ratio seed used to start backward
 evaluation.
 """
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -69,6 +72,13 @@ class Recurrence:
     coefficient is singular (empty for most models).  ``energy_shift``
     records the map between the recurrence variable and physical energy:
     E/omega = x - energy_shift.
+
+    ``levels_below`` assumes a pencil of the shipped orientation: a_n
+    linear in x, with sign(profile.a_coef)*a_n decreasing in x, so that
+    the count rises with x.  A recurrence that is not such a pencil
+    declares ``sectors`` that are; coefficients that ignore x, or grow
+    with it, give a count that is flat or falls, and ``scan`` rejects
+    a falling count.
     """
 
     a: Callable[[int, float], float]
@@ -77,6 +87,21 @@ class Recurrence:
     explicit_poles: Callable[[float, float], list[float]] = _no_poles
     energy_shift: float = 0.0
     label: str = ""
+    #: recurrences whose levels, taken together, are this one's levels
+    #: (for a model whose coefficients are not a linear pencil in x)
+    sectors: tuple["Recurrence", ...] = ()
+
+    def levels_below(self, x: float) -> int:
+        """Number of regular levels below x, counted exactly.
+
+        The negative forward pivots of the recurrence, or, when
+        ``sectors`` is set, the sum of the sectors' counts at the same
+        energy.
+        """
+        if self.sectors:
+            energy = self.energy_of(x)
+            return sum(s.levels_below(s.x_of(energy)) for s in self.sectors)
+        return _sturm_count(self, x)
 
     def energy_of(self, x: float) -> float:
         """Physical energy E/omega for recurrence variable x."""
@@ -121,6 +146,54 @@ def classify(profile: AsymptoticProfile) -> AdmissibilityReport:
         bargmann_ok=bargmann_ok,
         notes="; ".join(notes) if notes else "ok",
     )
+
+
+#: levels the count may walk before it must have settled (like the
+#: ``max_depth`` cap of ``ratio_cf``): a safety limit, not a tolerance
+_MAX_LEVELS = 1 << 20
+
+
+def _sturm_count(rec: Recurrence, x: float) -> int:
+    """Number of levels below x: the negative forward pivots of the recurrence.
+
+    The pivots p_0 = a_0, p_n = a_n - b_n/p_{n-1} are those of the LDL^T
+    factorization of the truncated recurrence matrix.  When a_n is linear
+    in x that matrix is a symmetric-definite pencil (row n scaled by a
+    positive weight), so by Sylvester's law of inertia the pivots whose
+    sign is opposite to that of ``profile.a_coef`` count its eigenvalues
+    below x (the Sturm bisection of Barth, Martin & Wilkinson, Numer.
+    Math. 9, 1967).  With sg = sign(a_coef), the count stops once
+    sg*p_n >= sg*a_n/2 > 0, sg*a_{n+1} > 0 and the coupling ratio
+    |b_{n+1}/(a_n a_{n+1})| is at most 1/4 and below its value at the
+    previous level: while the ratio stays at most 1/4 every later pivot
+    keeps at least half of its coefficient, so the sign cannot change
+    again.  A zero pivot is taken as a positive one of rounding size.
+
+    Raises NumericsError on a non-finite pivot (for instance at a
+    non-finite x) and when the count has not settled by ``_MAX_LEVELS``.
+    """
+    sg = 1.0 if rec.profile.a_coef > 0 else -1.0
+    count = 0
+    ratio_prev = 0.0  # no level before 0, so the count cannot stop there
+    a_n = rec.a(0, x)
+    p = a_n
+    for n in range(_MAX_LEVELS):
+        if not math.isfinite(p):
+            raise NumericsError(f"non-finite pivot at level {n} (x = {x})")
+        if p == 0.0:
+            p = sg * sys.float_info.epsilon
+        elif sg * p < 0.0:
+            count += 1
+        a_next = rec.a(n + 1, x)
+        b_next = rec.b(n + 1, x)
+        ratio = abs(b_next / (a_n * a_next)) if a_n * a_next != 0.0 else math.inf
+        if (ratio <= 0.25 and ratio < ratio_prev and sg * a_next > 0.0
+                and sg * p >= 0.5 * sg * a_n > 0.0):
+            return count
+        ratio_prev = ratio
+        p = a_next - b_next / p
+        a_n = a_next
+    raise NumericsError(f"level count did not settle by level {_MAX_LEVELS} (x = {x})")
 
 
 def tail_ratio_estimate(rec: Recurrence, n: int, x: float) -> float:

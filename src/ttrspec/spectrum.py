@@ -1,10 +1,22 @@
-"""Scan the characteristic function, refine its zeros, sweep parameters.
+"""Scan the characteristic function, isolate its zeros by exact level counts.
 
-The characteristic function is a chain of discontinuous branches, each
-sweeping monotonically between -inf and +inf; sign changes on a grid
-therefore come in two kinds, genuine zeros and pole crossings.  The two
-are separated by how the residual behaves while the bracket shrinks:
-it vanishes at a zero and grows at a pole.
+The characteristic function is a chain of discontinuous branches, so a
+sign change on a grid may be a zero or a pole.  ``Recurrence.levels_below``
+counts the levels below x exactly, from the signs of the recurrence's
+forward pivots, and that count decides:
+
+* a cell whose count rises by exactly one and across which char(x)
+  changes sign holds exactly one zero (a certified cell);
+* any other cell whose count rises is halved until it becomes one;
+* a cell changes sign once per zero and once per pole, so a sign change
+  that the count does not account for (above all, one across a cell with
+  no level) is a pole and ends a branch, as do explicit coefficient poles
+  and PoleDetected points.
+
+``find_roots`` bisects each cell holding one level on the count and
+polishes the result on char(x).  The count assumes a recurrence whose
+coefficients form a pencil of the shipped orientation (see
+``Recurrence``); ``scan`` raises NumericsError where the count falls.
 """
 
 from __future__ import annotations
@@ -17,22 +29,16 @@ from enum import Enum
 import numpy as np
 
 from .charfunc import DEFAULT_CONFIG, CharEval, SeriesConfig, SeriesStatus, char_series
-from .errors import CoefficientPoleError
+from .errors import CoefficientPoleError, NumericsError
 from .models import recurrences_for
 from .recurrence import Recurrence
 
-#: sign-change cells whose smaller |F| exceeds this multiple of the
-#: median |F| are treated as pole crossings during branch segmentation
-_BLOWUP_FACTOR = 25.0
 #: grid points this close (relative to span) to an explicit pole are nudged
 _POLE_NUDGE = 1e-9
-#: refinement pass splits cells whose |dF| exceeds this multiple of the median
-_REFINE_FACTOR = 10.0
-#: drilling stops once a cell is narrower than this fraction of the window
-_DRILL_FLOOR = 1e-12
-#: cap on drill rounds and on total inserted points (relative to the grid)
-_DRILL_ROUNDS = 64
-_DRILL_BUDGET = 8
+#: cells narrower than this fraction of the window are not halved further:
+#: the resolution below which a pole and a zero, or two levels of different
+#: sectors, are left in one cell
+_HALVING_FLOOR = 1e-12
 
 
 class RootKind(Enum):
@@ -42,23 +48,29 @@ class RootKind(Enum):
 
 @dataclass(frozen=True)
 class ScanResult:
-    """Grid evaluation of the characteristic function with branch ids.
+    """Grid evaluation of the characteristic function with level counts.
 
-    branch_ids are non-decreasing and increment at every detected
-    discontinuity: explicit coefficient poles, PoleDetected statuses,
-    and blow-up sign flips inconsistent with a monotone passage
-    through zero.
+    ``counts[i]`` is the number of levels below ``xs[i]``, so the cells
+    hold the levels in [xs[0], xs[-1]); a level within rounding of an end
+    may fall on either side of it.  Cells whose count rises have been
+    halved until each is certified (the count rises by one and char(x)
+    changes sign) or is narrower than 1e-12 of the window.
+    ``branch_ids`` are non-decreasing and increment across every cell
+    that holds an explicit coefficient pole, touches a PoleDetected
+    point, or changes sign a number of times the count does not account
+    for (a pole).
     """
 
     xs: np.ndarray
     fs: list[CharEval]
+    counts: np.ndarray
     branch_ids: np.ndarray
     cfg: SeriesConfig
 
 
 @dataclass(frozen=True)
 class Root:
-    """A refined sign change, classified as Zero or PoleCrossing."""
+    """One level located in a scan cell, classified as Zero or PoleCrossing."""
 
     x: float
     energy: float
@@ -91,189 +103,112 @@ def _evaluate(rec: Recurrence, x: float, cfg: SeriesConfig) -> CharEval:
         return CharEval(math.nan, 0, SeriesStatus.POLE, math.inf)
 
 
-def scan(rec: Recurrence, x_lo: float, x_hi: float, points: int,
-         cfg: SeriesConfig = DEFAULT_CONFIG, refine: bool = True) -> ScanResult:
-    """Evaluate the characteristic function on a grid and segment branches.
+def _sign_change(fl: CharEval, fr: CharEval) -> bool | None:
+    """Whether char(x) changes sign across a cell; None if an end failed."""
+    if (fl.status is not SeriesStatus.CONVERGED
+            or fr.status is not SeriesStatus.CONVERGED):
+        return None
+    return fl.value * fr.value <= 0.0
 
+
+def scan(rec: Recurrence, x_lo: float, x_hi: float, points: int,
+         cfg: SeriesConfig = DEFAULT_CONFIG) -> ScanResult:
+    """Evaluate char(x) and the level count on a grid over [x_lo, x_hi].
+
+    ``rec.levels_below`` must rise with x, as it does for a pencil of the
+    orientation ``Recurrence`` describes; NumericsError is raised where
+    the count falls instead of dropping the levels it would have held.
     Grid points that coincide with explicit coefficient poles are
-    perturbed by 1e-9 of the window width.  With ``refine`` the grid is
-    adaptively densified before root search: one midpoint pass over
-    cells whose |dF| jump exceeds 10x the median jump, then recursive
-    drilling of every cell that breaks the in-branch monotonicity of
-    the scanned values.  The latter is what resolves a pole and a zero
-    that have drawn exponentially close together (their only coarse-grid
-    signature is a single step against the branch direction); pairs
-    tighter than 1e-12 of the window remain merged and are reported as a
-    pole crossing.
+    perturbed by 1e-9 of the window width.  Every cell whose count rises
+    is halved until the count rises by exactly one across it and char(x)
+    changes sign, or until it is narrower than 1e-12 of the window: two
+    levels closer than that, or a pole that close to a zero, stay in one
+    cell.  Each returned x carries exactly one evaluation of char(x).
     """
     if not x_lo < x_hi:
         raise ValueError("x_lo must be < x_hi")
     if points < 16:
         raise ValueError("points must be >= 16")
     span = x_hi - x_lo
+    floor = _HALVING_FLOOR * span
     poles = sorted(rec.explicit_poles(x_lo, x_hi))
 
-    xs = list(np.linspace(x_lo, x_hi, points))
+    grid = list(np.linspace(x_lo, x_hi, points))
     if poles:
         nudge = _POLE_NUDGE * span
-        for i, x in enumerate(xs):
+        for i, x in enumerate(grid):
             j = _bisect.bisect_left(poles, x)
             near = min((abs(x - poles[m]) for m in (j - 1, j)
                         if 0 <= m < len(poles)), default=math.inf)
             if near < nudge:
-                xs[i] = x + nudge
+                grid[i] = x + nudge
 
-    fs = [_evaluate(rec, x, cfg) for x in xs]
+    def visit(x: float) -> tuple[float, CharEval, int]:
+        return x, _evaluate(rec, x, cfg), rec.levels_below(x)
 
-    if refine:
-        xs, fs = _refine_once(rec, xs, fs, cfg)
-        xs, fs = _drill_wiggles(rec, xs, fs, cfg, span, points)
+    ends = [visit(x) for x in grid]
+    pts = [ends[0]]
+    for right in ends[1:]:
+        pending = [right]
+        while pending:
+            (xl, fl, cl), (xr, fr, cr) = pts[-1], pending[-1]
+            mid = 0.5 * (xl + xr)
+            certified = cr - cl == 1 and _sign_change(fl, fr)
+            if cr > cl and not certified and xr - xl > floor and xl < mid < xr:
+                pending.append(visit(mid))
+            else:
+                pts.append(pending.pop())
 
-    branch_ids = _segment_branches(xs, fs, poles)
-    return ScanResult(xs=np.asarray(xs), fs=fs,
+    branch_ids = [0]
+    for (xl, fl, cl), (xr, fr, cr) in zip(pts, pts[1:]):
+        if cr < cl:
+            raise NumericsError(
+                f"level count falls from {cl} to {cr} across [{xl}, {xr}] in "
+                f"'{rec.label}': its coefficients are not a pencil of the "
+                "orientation the count assumes")
+        sc = _sign_change(fl, fr)
+        ends_branch = (sc is None or sc != ((cr - cl) % 2 == 1)
+                       or _bisect.bisect_right(poles, xl) < _bisect.bisect_right(poles, xr))
+        branch_ids.append(branch_ids[-1] + ends_branch)
+    return ScanResult(xs=np.asarray([p[0] for p in pts]), fs=[p[1] for p in pts],
+                      counts=np.asarray([p[2] for p in pts]),
                       branch_ids=np.asarray(branch_ids), cfg=cfg)
 
 
-def _refine_once(rec, xs, fs, cfg):
-    jumps = [abs(fs[i + 1].value - fs[i].value)
-             for i in range(len(xs) - 1)
-             if fs[i].status is SeriesStatus.CONVERGED
-             and fs[i + 1].status is SeriesStatus.CONVERGED]
-    if not jumps:
-        return xs, fs
-    med = float(np.median(jumps))
-    if med == 0.0:
-        return xs, fs
-    out_x: list[float] = []
-    out_f: list[CharEval] = []
-    for i in range(len(xs) - 1):
-        out_x.append(xs[i])
-        out_f.append(fs[i])
-        both_ok = (fs[i].status is SeriesStatus.CONVERGED
-                   and fs[i + 1].status is SeriesStatus.CONVERGED)
-        if both_ok and abs(fs[i + 1].value - fs[i].value) > _REFINE_FACTOR * med:
-            mid = 0.5 * (xs[i] + xs[i + 1])
-            out_x.append(mid)
-            out_f.append(_evaluate(rec, mid, cfg))
-    out_x.append(xs[-1])
-    out_f.append(fs[-1])
-    return out_x, out_f
-
-
-def _wiggle_cells(xs, fs, floor) -> set[int]:
-    """Cells adjacent to a step against the local trend of the values.
-
-    Converged branch values vary monotonically except across a pole (or
-    a pole hugging a zero), so a sign flip between consecutive steps
-    marks a cell hiding structure.  Steps below the series noise floor
-    are ignored.
-    """
-    flags: set[int] = set()
-    conv = [f.status is SeriesStatus.CONVERGED for f in fs]
-    for i in range(1, len(xs) - 1):
-        if not (conv[i - 1] and conv[i] and conv[i + 1]):
-            continue
-        s_prev = fs[i].value - fs[i - 1].value
-        s_next = fs[i + 1].value - fs[i].value
-        scale = max(abs(fs[i - 1].value), abs(fs[i].value), abs(fs[i + 1].value))
-        guard = 1e-9 * scale + 1e-290
-        if abs(s_prev) <= guard or abs(s_next) <= guard:
-            continue
-        if (s_prev > 0.0) != (s_next > 0.0):
-            if xs[i] - xs[i - 1] > floor:
-                flags.add(i - 1)
-            if xs[i + 1] - xs[i] > floor:
-                flags.add(i)
-    return flags
-
-
-def _drill_wiggles(rec, xs, fs, cfg, span, base_points):
-    floor = _DRILL_FLOOR * span
-    budget = _DRILL_BUDGET * base_points
-    added = 0
-    for _ in range(_DRILL_ROUNDS):
-        flags = _wiggle_cells(xs, fs, floor)
-        if not flags or added >= budget:
-            break
-        out_x: list[float] = []
-        out_f: list[CharEval] = []
-        for i in range(len(xs) - 1):
-            out_x.append(xs[i])
-            out_f.append(fs[i])
-            if i in flags:
-                mid = 0.5 * (xs[i] + xs[i + 1])
-                if xs[i] < mid < xs[i + 1]:
-                    out_x.append(mid)
-                    out_f.append(_evaluate(rec, mid, cfg))
-                    added += 1
-        out_x.append(xs[-1])
-        out_f.append(fs[-1])
-        xs, fs = out_x, out_f
-    return xs, fs
-
-
-def _segment_branches(xs, fs, poles) -> list[int]:
-    n = len(xs)
-    conv = [f.status is SeriesStatus.CONVERGED for f in fs]
-    absf = [abs(f.value) if conv[i] else math.nan for i, f in enumerate(fs)]
-    finite = [v for i, v in enumerate(absf) if conv[i]]
-    blow = _BLOWUP_FACTOR * float(np.median(finite)) if finite else math.inf
-
-    ids = [0] * n
-    current = 0
-    pole_idx = 0
-    for i in range(1, n):
-        boundary = False
-        while pole_idx < len(poles) and poles[pole_idx] <= xs[i - 1]:
-            pole_idx += 1
-        if pole_idx < len(poles) and xs[i - 1] < poles[pole_idx] <= xs[i]:
-            boundary = True
-        if fs[i].status is SeriesStatus.POLE or fs[i - 1].status is SeriesStatus.POLE:
-            boundary = True
-        if not boundary and conv[i - 1] and conv[i]:
-            if fs[i - 1].value * fs[i].value < 0.0 and min(absf[i - 1], absf[i]) > blow:
-                rising_left = (i - 2 < 0 or not conv[i - 2]
-                               or absf[i - 1] >= absf[i - 2])
-                rising_right = (i + 1 >= n or not conv[i + 1]
-                                or absf[i] >= absf[i + 1])
-                boundary = rising_left and rising_right
-        if boundary:
-            current += 1
-        ids[i] = current
-    return ids
-
-
-def _bisect_bracket(rec, lo, hi, flo, fhi, x_tol, cfg):
-    """Bisect a sign-change bracket; returns (lo, hi, mid_history) where
-    mid_history is the list of (x, CharEval) midpoint evaluations, or
-    None in place of the history when a midpoint pole could not be
-    stepped around."""
-    history: list[tuple[float, CharEval]] = []
+def _bisect_count(rec: Recurrence, lo: float, hi: float, below: int,
+                  x_tol: float) -> tuple[float, float]:
+    """Shrink a cell holding one level (``below`` levels below lo) to x_tol."""
     while hi - lo > x_tol:
         mid = 0.5 * (lo + hi)
-        ev = _evaluate(rec, mid, cfg)
-        if ev.status is not SeriesStatus.CONVERGED:
-            mid = lo + 0.25 * (hi - lo)
-            ev = _evaluate(rec, mid, cfg)
-            if ev.status is not SeriesStatus.CONVERGED:
-                return lo, hi, None
-        history.append((mid, ev))
-        if ev.value == 0.0:
-            return mid, mid, history
-        if (flo < 0.0) == (ev.value < 0.0):
-            lo, flo = mid, ev.value
+        if not lo < mid < hi:
+            break
+        if rec.levels_below(mid) > below:
+            hi = mid
         else:
-            hi, fhi = mid, ev.value
-    return lo, hi, history
+            lo = mid
+    return lo, hi
 
 
-def _polish(rec, lo, hi, flo, fhi, best_x, best_f, cfg):
-    """Secant refinements inside the final bracket to shave the residual."""
+def _polish(rec: Recurrence, lo: float, hi: float,
+            cfg: SeriesConfig) -> tuple[float, float]:
+    """Point of smallest |char| among the bracket ends and up to three
+    secant steps inside the bracket; (midpoint, inf) if no end converges."""
+    ends = []
+    for x in (lo, hi):
+        ev = _evaluate(rec, x, cfg)
+        if ev.status is SeriesStatus.CONVERGED:
+            ends.append((x, ev.value))
+    if not ends:
+        return 0.5 * (lo + hi), math.inf
+    best_x, best_f = min(ends, key=lambda t: abs(t[1]))
+    if len(ends) < 2:
+        return best_x, best_f
+    (lo, flo), (hi, fhi) = ends
     for _ in range(3):
-        if fhi == flo:
+        if best_f == 0.0 or (flo < 0.0) == (fhi < 0.0):
             break
         x_new = hi - fhi * (hi - lo) / (fhi - flo)
-        if not lo <= x_new <= hi or x_new == best_x:
+        if not lo < x_new < hi:
             break
         ev = _evaluate(rec, x_new, cfg)
         if ev.status is not SeriesStatus.CONVERGED:
@@ -287,84 +222,43 @@ def _polish(rec, lo, hi, flo, fhi, best_x, best_f, cfg):
     return best_x, best_f
 
 
-def find_roots(sr: ScanResult, rec: Recurrence, x_tol: float = 1e-10,
-               zero_tol_factor: float = 1e-6) -> list[Root]:
-    """Refine every in-branch sign change of the scan and classify it.
+def find_roots(sr: ScanResult, rec: Recurrence, x_tol: float = 1e-10) -> list[Root]:
+    """Locate every level the scan's counts place in [xs[0], xs[-1]).
 
-    A refined candidate is accepted as Zero only if its residual fell to
-    zero_tol_factor times the smaller endpoint residual of the original
-    bracket and the midpoint residuals shrank over the bisection; a pole
-    masquerading as a sign change fails both, since its residual grows
-    as the bracket tightens.  Pole crossings are retained (classified)
-    for diagnostics.  Roots within 10*x_tol of an explicit coefficient
-    pole are never accepted as Zero: they are candidate exceptional
-    points, outside the regular spectrum.
+    A cell whose count rises by one holds exactly one level: it is
+    bisected on the count to x_tol and polished by secant steps on
+    char(x), and the point of smallest |char| is returned as a Zero with
+    that residual.  A Zero within 10*x_tol of an explicit coefficient
+    pole is returned as a PoleCrossing noted as a possible exceptional
+    point, outside the regular spectrum.  A cell that still holds more
+    than one level (closer than the scan's halving floor) is returned as
+    one PoleCrossing whose note gives the count, so no level is dropped
+    silently.
     """
-    xs = sr.xs
-    fs = sr.fs
-    ids = sr.branch_ids
+    xs, counts, ids = sr.xs, sr.counts, sr.branch_ids
     poles = sorted(rec.explicit_poles(float(xs[0]), float(xs[-1])))
     roots: list[Root] = []
-
     for i in range(len(xs) - 1):
-        if ids[i] != ids[i + 1]:
+        rise = int(counts[i + 1] - counts[i])
+        if rise <= 0:
             continue
-        if (fs[i].status is not SeriesStatus.CONVERGED
-                or fs[i + 1].status is not SeriesStatus.CONVERGED):
-            continue
-        f0, f1 = fs[i].value, fs[i + 1].value
-        if f0 == 0.0:
-            roots.append(Root(x=float(xs[i]), energy=rec.energy_of(float(xs[i])),
-                              residual=0.0, bracket=(float(xs[i]), float(xs[i])),
-                              branch_id=int(ids[i]), parity=None,
-                              classification=RootKind.ZERO))
-            continue
-        if f0 * f1 >= 0.0:
-            continue
-
-        lo0, hi0, flo0, fhi0 = float(xs[i]), float(xs[i + 1]), f0, f1
-        lo, hi, history = _bisect_bracket(rec, lo0, hi0, flo0, fhi0, x_tol, sr.cfg)
-        branch = int(ids[i])
-        if history is None:
+        lo, hi = float(xs[i]), float(xs[i + 1])
+        if rise > 1:
             mid = 0.5 * (lo + hi)
-            roots.append(Root(x=mid, energy=rec.energy_of(mid),
-                              residual=math.inf, bracket=(lo, hi),
-                              branch_id=branch, parity=None,
+            roots.append(Root(x=mid, energy=rec.energy_of(mid), residual=math.inf,
+                              bracket=(lo, hi), branch_id=int(ids[i]), parity=None,
                               classification=RootKind.POLE_CROSSING,
-                              note="series pole inside bracket"))
+                              note=f"unresolved count: {rise} levels in one cell"))
             continue
-
-        if history and history[-1][0] == lo == hi:
-            x_best, f_best = history[-1][0], 0.0
-        else:
-            flo = flo0 if lo == lo0 else next(
-                ev.value for x, ev in reversed(history) if x == lo)
-            fhi = fhi0 if hi == hi0 else next(
-                ev.value for x, ev in reversed(history) if x == hi)
-            inside = [(x, ev.value) for x, ev in history if lo <= x <= hi]
-            inside.extend([(lo, flo), (hi, fhi)])
-            x_best, f_best = min(inside, key=lambda t: abs(t[1]))
-            x_best, f_best = _polish(rec, lo, hi, flo, fhi, x_best, f_best, sr.cfg)
-
-        residual = abs(f_best)
-        resid_seq = [abs(ev.value) for _, ev in history]
-        shrank = True
-        if len(resid_seq) >= 6:
-            first = float(np.median(resid_seq[:3]))
-            last = float(np.median(resid_seq[-3:]))
-            shrank = last < first
-        small = residual <= zero_tol_factor * min(abs(flo0), abs(fhi0))
-        near_pole = any(abs(x_best - p) <= 10.0 * x_tol for p in poles)
-
-        if small and shrank and not near_pole:
-            kind, note = RootKind.ZERO, ""
-        elif near_pole and small and shrank:
+        lo, hi = _bisect_count(rec, lo, hi, int(counts[i]), x_tol)
+        x_best, f_best = _polish(rec, lo, hi, sr.cfg)
+        if any(abs(x_best - p) <= 10.0 * x_tol for p in poles):
             kind, note = RootKind.POLE_CROSSING, "possible exceptional point"
         else:
-            kind, note = RootKind.POLE_CROSSING, ""
+            kind, note = RootKind.ZERO, ""
         roots.append(Root(x=x_best, energy=rec.energy_of(x_best),
-                          residual=residual, bracket=(lo, hi),
-                          branch_id=branch, parity=None,
+                          residual=abs(f_best), bracket=(lo, hi),
+                          branch_id=int(ids[i]), parity=None,
                           classification=kind, note=note))
     return roots
 
@@ -375,9 +269,9 @@ _PARITY_ORDER = {1: 0, -1: 1, None: 2}
 def resolve_spectrum(model: str, params, window: tuple[float, float],
                      cfg: SeriesConfig = DEFAULT_CONFIG, *,
                      parity: str = "both", points: int = 4000,
-                     x_tol: float = 1e-10, zero_tol_factor: float = 1e-6,
-                     refine: bool = True) -> list[Root]:
-    """Scan and refine one model over an energy window (units of omega).
+                     x_tol: float = 1e-10) -> list[Root]:
+    """Scan and refine one model over the energy window [e_lo, e_hi)
+    (units of omega).
 
     For the parity-resolved model both branches are scanned and merged
     into one ascending-energy list carrying parity labels; single-
@@ -388,8 +282,8 @@ def resolve_spectrum(model: str, params, window: tuple[float, float],
         raise ValueError("window must satisfy e_lo < e_hi")
     merged: list[Root] = []
     for rec, label in recurrences_for(model, params, parity=parity):
-        sr = scan(rec, rec.x_of(e_lo), rec.x_of(e_hi), points, cfg, refine=refine)
-        for root in find_roots(sr, rec, x_tol=x_tol, zero_tol_factor=zero_tol_factor):
+        sr = scan(rec, rec.x_of(e_lo), rec.x_of(e_hi), points, cfg)
+        for root in find_roots(sr, rec, x_tol=x_tol):
             merged.append(replace(root, parity=label))
     merged.sort(key=lambda r: (r.energy, _PARITY_ORDER[r.parity]))
     return merged
@@ -397,8 +291,8 @@ def resolve_spectrum(model: str, params, window: tuple[float, float],
 
 def flow(model: str, params, sweep: tuple[str, float, float, int],
          window: tuple[float, float], cfg: SeriesConfig = DEFAULT_CONFIG, *,
-         parity: str = "both", points: int = 4000, x_tol: float = 1e-10,
-         zero_tol_factor: float = 1e-6, refine: bool = True) -> FlowResult:
+         parity: str = "both", points: int = 4000,
+         x_tol: float = 1e-10) -> FlowResult:
     """Resolve the spectrum along a parameter sweep and build level tracks.
 
     sweep = (name, lo, hi, steps) with name a field of ``params``
@@ -417,8 +311,7 @@ def flow(model: str, params, sweep: tuple[str, float, float, int],
     for v in values:
         p = replace(params, **{name: v})
         roots = resolve_spectrum(model, p, window, cfg, parity=parity,
-                                 points=points, x_tol=x_tol,
-                                 zero_tol_factor=zero_tol_factor, refine=refine)
+                                 points=points, x_tol=x_tol)
         levels.append([r for r in roots if r.classification is RootKind.ZERO])
 
     tracks: list[list[tuple[int, Root]]] = [[(0, r)] for r in levels[0]]

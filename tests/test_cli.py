@@ -113,6 +113,20 @@ class TestRootsCommand:
                                   "--points", "4"])
         assert res.exit_code == 2
 
+    @pytest.mark.parametrize("flags", [
+        ["--model", "dho", "--kappa", "nan"],
+        ["--model", "dho", "--kappa", "inf"],
+        ["--model", "rabi", "--kappa", "-inf"],
+        ["--model", "rabi-parity", "--kappa", "0.7", "--delta", "nan"],
+        ["--model", "rabi", "--kappa", "0.7", "--delta", "inf"],
+        ["--model", "dho", "--kappa", "0.7", "--x-max", "inf"],
+        ["--model", "dho", "--kappa", "0.7", "--x-min", "nan"],
+    ])
+    def test_non_finite_input_rejected(self, runner, flags):
+        res = runner.invoke(cli, ["roots"] + flags)
+        assert res.exit_code == 2
+        assert "finite" in res.output
+
     def test_numerical_failure_exit_code(self, runner, monkeypatch):
         def boom(*args, **kwargs):
             raise NumericsError("synthetic failure")
@@ -146,6 +160,15 @@ class TestFlowCommand:
         res = runner.invoke(cli, ["flow", "--model", "dho", "--kappa", "0.7",
                                   "--sweep", "theta:0:1:3"])
         assert res.exit_code == 2
+
+    def test_non_finite_input_rejected(self, runner):
+        for flags in (["--kappa", "nan", "--sweep", "delta:0:1:3"],
+                      ["--kappa", "0.7", "--delta", "inf", "--sweep", "kappa:0.5:1:3"],
+                      ["--kappa", "0.7", "--sweep", "kappa:nan:1:3"],
+                      ["--kappa", "0.7", "--sweep", "delta:0:inf:3"]):
+            res = runner.invoke(cli, ["flow", "--model", "rabi-parity"] + flags)
+            assert res.exit_code == 2, flags
+            assert "finite" in res.output
 
     def test_json_format(self, runner):
         res = runner.invoke(cli, [

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,15 @@ class TestParamValidation:
         for cls in (DhoParams, RabiParams, ParityRabiParams):
             with pytest.raises(ValueError, match="kappa"):
                 cls(kappa=0.0)
+
+    def test_kappa_and_delta_finite(self):
+        for bad in (math.nan, math.inf, -math.inf):
+            for cls in (DhoParams, RabiParams, ParityRabiParams):
+                with pytest.raises(ValueError, match="finite"):
+                    cls(kappa=bad)
+            for cls in (RabiParams, ParityRabiParams):
+                with pytest.raises(ValueError, match="finite"):
+                    cls(kappa=0.7, delta=bad)
 
     def test_omega_positive(self):
         with pytest.raises(ValueError, match="omega"):

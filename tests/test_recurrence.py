@@ -10,9 +10,15 @@ from ttrspec import (
     NumericsError,
     ParityRabiParams,
     RabiParams,
+    Recurrence,
+    SeriesConfig,
+    SeriesStatus,
     bessel_fixture,
+    build_hamiltonian,
+    char_series,
     classify,
     dho_recurrence,
+    eigen_lowest,
     parity_rabi_recurrence,
     rabi_displaced_recurrence,
     tail_ratio_estimate,
@@ -161,3 +167,108 @@ class TestEnergyMap:
                     parity_rabi_recurrence(ParityRabiParams(0.7, 0.4))):
             assert rec.energy_of(1.23) == 1.23
             assert rec.x_of(-0.5) == -0.5
+
+
+def fixed_pivot_count(rec, x, levels=600):
+    """Negative forward pivots among the first ``levels``, no stopping rule."""
+    if rec.sectors:
+        energy = rec.energy_of(x)
+        return sum(fixed_pivot_count(s, s.x_of(energy), levels) for s in rec.sectors)
+    sg = 1.0 if rec.profile.a_coef > 0 else -1.0
+    count, p = 0, rec.a(0, x)
+    for n in range(levels):
+        if p == 0.0:
+            p = sg * np.finfo(float).eps
+        elif sg * p < 0.0:
+            count += 1
+        p = rec.a(n + 1, x) - rec.b(n + 1, x) / p
+    return count
+
+
+class TestLevelCount:
+    KAPPAS = (0.1, 0.3, 0.7, 1.0, 1.5, 2.0, 3.0, -0.7, -2.0)
+    DELTAS = (0.0, 0.2, 0.5, 0.9, 1.5)
+    E_MAX = 12.0
+
+    @pytest.mark.parametrize("kappa", KAPPAS)
+    def test_counts_match_diagonalization(self, kappa):
+        """levels_below equals the oracle's count below E: per parity label
+        for the sectors, and over the whole Rabi spectrum for the displaced
+        frame (one ladder of the degenerate pairs at delta = 0)."""
+        rng = np.random.default_rng(int(1000 * abs(kappa)) + (kappa < 0))
+        checked = 0
+        for delta in self.DELTAS:
+            p = RabiParams(kappa, delta)
+            k = 2 * math.ceil(self.E_MAX + kappa * kappa + delta) + 6
+            spec = eigen_lowest(build_hamiltonian("rabi", p, 128), k, 1e-9)
+            assert spec.eigenvalues[-1] > self.E_MAX
+            levels = np.array(spec.eigenvalues)
+            labels = spec.parities
+            sectors = {label: parity_rabi_recurrence(ParityRabiParams(kappa, delta, 1.0, name))
+                       for label, name in ((1, "plus"), (-1, "minus"))}
+            displaced = rabi_displaced_recurrence(p)
+            dho = dho_recurrence(DhoParams(kappa))
+            energies = rng.uniform(-kappa * kappa - delta - 1.0, self.E_MAX, 32)
+            for e in energies:
+                if np.min(np.abs(levels - e)) < 1e-7:
+                    continue
+                below = [labels[i] for i, v in enumerate(levels) if v < e]
+                ladder = len(below) // 2
+                labeled = all(label is not None for label in below)
+                assert labeled or delta == 0.0
+                cases = [(rec, float(e), below.count(label) if labeled else ladder)
+                         for label, rec in sectors.items()]
+                cases.append((displaced, displaced.x_of(e),
+                              ladder if delta == 0.0 else len(below)))
+                if delta == 0.0:
+                    cases.append((dho, float(e), ladder))
+                for rec, x, expect in cases:
+                    got = rec.levels_below(x)
+                    assert got == expect, (rec.label, kappa, delta, e)
+                    assert got == fixed_pivot_count(rec, x), (rec.label, kappa, delta, e)
+                    checked += 1
+        assert checked > 400
+
+    def test_steps_at_levels_on_coefficient_zeros(self):
+        # kappa = 1: the levels are x = l - 1, each on a zero of a_{l-1}
+        rec = dho_recurrence(DhoParams(1.0))
+        for l in range(9):
+            assert rec.levels_below(l - 1 - 1e-12) == l
+            assert rec.levels_below(l - 1 + 1e-12) == l + 1
+
+    def test_non_finite_pivot_raises(self):
+        rec = dho_recurrence(DhoParams(0.7))
+        for x in (math.nan, math.inf, -math.inf):
+            with pytest.raises(NumericsError, match="non-finite pivot"):
+                rec.levels_below(x)
+
+    def test_unsettled_count_raises(self, monkeypatch):
+        monkeypatch.setattr("ttrspec.recurrence._MAX_LEVELS", 20)
+        rec = dho_recurrence(DhoParams(0.7))
+        with pytest.raises(NumericsError, match="did not settle"):
+            rec.levels_below(50.0)
+
+    def test_series_is_not_the_count(self):
+        """char_series needs no level past where its series converges, and
+        it can converge before the last pivot sign change, so the count
+        cannot ride along inside it."""
+        def a(n, x):
+            if n > 3:
+                raise IndexError(n)
+            return 1.0 + n
+
+        def b(n, x):
+            if n > 3:
+                raise IndexError(n)
+            return 1e-20
+
+        shallow = Recurrence(a=a, b=b, profile=AsymptoticProfile(1.0, 0.0, 1.0, 0.0))
+        ev = char_series(shallow, 0.0, SeriesConfig())
+        assert ev.status is SeriesStatus.CONVERGED and ev.terms_used <= 3
+
+        rec = dho_recurrence(DhoParams(0.1))
+        ev = char_series(rec, 7.5, SeriesConfig())
+        assert ev.status is SeriesStatus.CONVERGED and ev.terms_used == 7
+        # levels l - 0.01 for l = 0..7 lie below 7.5; the last negative
+        # pivot is p_7, past the series' last term
+        assert rec.levels_below(7.5) == 8

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,13 +7,17 @@ from conftest import pole_crossings_of, zeros_of
 from ttrspec import (
     AsymptoticProfile,
     DhoParams,
+    NumericsError,
     ParityRabiParams,
     RabiParams,
     Recurrence,
+    RootKind,
     SeriesConfig,
     SeriesStatus,
+    build_hamiltonian,
     dho_exact_levels,
     dho_recurrence,
+    eigen_lowest,
     find_roots,
     flow,
     parity_rabi_recurrence,
@@ -102,6 +108,16 @@ class TestScan:
         sr = scan(rec, -1.0, 3.0, 2001, CFG)
         assert not any(float(x) in (0.0, 1.0, 2.0) for x in sr.xs)
 
+    def test_falling_count_raises(self):
+        # a_n grows with x: the mirror image of DHO kappa = 1, whose count
+        # falls with x, so the count cannot place its zeros
+        mirrored = Recurrence(a=lambda n, x: (n + x) / (n + 1),
+                              b=lambda n, x: 1.0 / (n + 1),
+                              profile=AsymptoticProfile(0.0, -1.0, 1.0, 1.0),
+                              label="mirrored")
+        with pytest.raises(NumericsError, match="count falls"):
+            scan(mirrored, -1.5, 2.5, 64, CFG)
+
 
 class TestFindRoots:
     def test_dho_exact_levels(self):
@@ -145,6 +161,29 @@ class TestFindRoots:
                    if "exceptional" in r.note]
         assert len(flagged) == 1
         assert abs(flagged[0].x - 0.51) < 1e-6
+
+
+    def test_degenerate_levels_reported_not_dropped(self):
+        # two copies of the DHO ladder: every level is doubly degenerate,
+        # so no cell can hold just one of them
+        dho = dho_recurrence(DhoParams(0.7))
+        doubled = Recurrence(a=dho.a, b=dho.b, profile=dho.profile,
+                             sectors=(dho, dho), label="doubled")
+        sr = scan(doubled, -1.0, 2.0, 300, CFG)
+        roots = find_roots(sr, doubled)
+        assert zeros_of(roots) == []
+        assert len(roots) == 3
+        for root, level in zip(roots, dho_exact_levels(DhoParams(0.7), 2)):
+            assert "2 levels" in root.note
+            assert root.bracket[0] <= level <= root.bracket[1]
+
+    def test_pole_hugging_zero_is_a_zero(self):
+        # at kappa = 0.12 the pole next to E = 6 - kappa**2 lies about
+        # 1e-14 from the level: one cell holds both, the count certifies it
+        p = DhoParams(0.12)
+        zeros = zeros_of(resolve_spectrum("dho", p, (-1.0, 6.5), CFG))
+        assert [r.energy for r in zeros] == pytest.approx(
+            dho_exact_levels(p, 6), abs=1e-8)
 
 
 class TestResolveSpectrum:
@@ -191,6 +230,58 @@ class TestResolveSpectrum:
     def test_window_validation(self):
         with pytest.raises(ValueError):
             resolve_spectrum("dho", DhoParams(0.7), (2.0, -1.0), CFG)
+
+    @pytest.mark.parametrize("kappa", [1.0, math.sqrt(2.0)])
+    def test_dho_levels_on_coefficient_zeros(self, kappa):
+        """Every level over [-1, 6] sits on, or within rounding of, a zero
+        of some a_n, where the series raises or loses digits."""
+        p = DhoParams(kappa)
+        exact = [e for e in dho_exact_levels(p, 10) if -1.5 <= e <= 6.5]
+        assert len(exact) == 8
+        zeros = zeros_of(resolve_spectrum("dho", p, (-1.5, 6.5), CFG))
+        assert [r.energy for r in zeros] == pytest.approx(exact, abs=1e-8)
+
+
+class TestOracleGrid:
+    """rabi-parity against certified diagonalization over the 35-case grid."""
+
+    E_HI = 4.0
+
+    @staticmethod
+    def disagreements(zeros, levels, parities, window):
+        """Zeros matching no level (one-to-one, within 1e-6, same parity
+        where the oracle labels it), plus levels inside the window that no
+        zero matched.  A level within 1e-6 of a window end is neither
+        required nor spurious: at that tolerance it may lie on either side
+        (rabi-parity kappa = 2, delta = 0 has a degenerate pair at E = 4,
+        which the oracle puts 5e-14 below and 3e-15 above the end)."""
+        used = set()
+        bad = 0
+        for z in zeros:
+            near = [i for i, (e, label) in enumerate(zip(levels, parities))
+                    if i not in used and abs(e - z.energy) <= 1e-6
+                    and label in (None, z.parity)]
+            if not near:
+                bad += 1
+                continue
+            used.add(min(near, key=lambda i: abs(levels[i] - z.energy)))
+        lo, hi = window
+        bad += sum(1 for i, e in enumerate(levels)
+                   if lo + 1e-6 <= e <= hi - 1e-6 and i not in used)
+        return bad
+
+    @pytest.mark.parametrize("kappa", [0.1, 0.3, 0.5, 0.7, 1.0, 1.5, 2.0])
+    def test_no_disagreements(self, kappa):
+        for delta in (0.0, 0.2, 0.5, 0.9, 1.5):
+            p = RabiParams(kappa, delta)
+            window = (-kappa * kappa - delta - 0.5, self.E_HI)
+            roots = resolve_spectrum("rabi-parity", p, window, CFG, points=1000)
+            assert all(r.classification is RootKind.ZERO for r in roots)
+            k = 2 * math.ceil(self.E_HI + kappa * kappa + delta) + 4
+            spec = eigen_lowest(build_hamiltonian("rabi", p, 200), k)
+            assert spec.eigenvalues[-1] > self.E_HI
+            bad = self.disagreements(roots, spec.eigenvalues, spec.parities, window)
+            assert bad == 0, (kappa, delta)
 
 
 class TestDeterminism:
