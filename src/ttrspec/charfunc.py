@@ -173,18 +173,16 @@ def cf_convergent(rec: Recurrence, x: float, k: int) -> float:
     """k-th convergent of the r_0 continued fraction (zero tail at level k)."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    r = 0.0
-    for n in range(k - 1, -1, -1):
-        denom = rec.a(n + 1, x) + r
-        if denom == 0.0:
-            denom = _TINY
-        r = -rec.b(n + 1, x) / denom
-    return r
+    return _cf_ratios(rec, x, k, 0, tail=0.0)[0]
 
 
-def _cf_ratios(rec: Recurrence, x: float, depth: int, keep: int) -> list[float]:
-    """Backward pass from `depth`, returning minimal ratios r_0..r_keep."""
-    r = tail_ratio_estimate(rec, depth, x)
+def _cf_ratios(rec: Recurrence, x: float, depth: int, keep: int,
+               tail: float | None = None) -> list[float]:
+    """Backward pass from `depth`, returning minimal ratios r_0..r_keep.
+
+    The pass is seeded with `tail`, by default the asymptotic tail ratio.
+    """
+    r = tail_ratio_estimate(rec, depth, x) if tail is None else tail
     out = [0.0] * (keep + 1)
     for n in range(depth - 1, -1, -1):
         denom = rec.a(n + 1, x) + r
@@ -202,25 +200,15 @@ def ratio_cf(rec: Recurrence, x: float, depth: int = 64,
 
     Evaluates backward from ``depth`` seeded with the asymptotic tail
     ratio, doubling the start depth until two successive approximants
-    agree to rel_tol.
+    agree to rel_tol (``minimal_ratios`` with n_max = 0).
 
     Raises NonConvergenceError (carrying both approximants) if the cap
     is reached without agreement.
     """
     if depth < 2:
         raise ValueError("depth must be >= 2")
-    prev = _cf_ratios(rec, x, depth, 0)[0]
-    d = depth
-    cur = prev
-    while d < max_depth:
-        d *= 2
-        cur = _cf_ratios(rec, x, d, 0)[0]
-        if abs(cur - prev) <= rel_tol * max(1.0, abs(cur)):
-            return cur
-        prev = cur
-    raise NonConvergenceError(
-        f"continued fraction did not stabilize by depth {d}",
-        last=cur, previous=prev)
+    return minimal_ratios(rec, x, 0, depth=depth, rel_tol=rel_tol,
+                          max_depth=max_depth)[0]
 
 
 @dataclass(frozen=True)
@@ -249,16 +237,15 @@ def minimal_ratios(rec: Recurrence, x: float, n_max: int,
         raise ValueError("n_max must be >= 0")
     d = depth if depth is not None else max(2 * n_max, 64)
     d = max(d, n_max + 2)
-    rs = _cf_ratios(rec, x, d, n_max)
+    rs = prev = _cf_ratios(rec, x, d, n_max)
     while d < max_depth:
         d *= 2
-        nxt = _cf_ratios(rec, x, d, n_max)
-        if abs(nxt[0] - rs[0]) <= rel_tol * max(1.0, abs(nxt[0])):
-            return nxt
-        rs = nxt
+        prev, rs = rs, _cf_ratios(rec, x, d, n_max)
+        if abs(rs[0] - prev[0]) <= rel_tol * max(1.0, abs(rs[0])):
+            return rs
     raise NonConvergenceError(
         f"backward ratios did not stabilize by depth {d}",
-        last=rs[0], previous=None)
+        last=rs[0], previous=prev[0])
 
 
 def minimal_solution(rec: Recurrence, x_root: float, n_count: int,

@@ -13,8 +13,12 @@ Examples:
 Output schemas are fixed so repeated runs with identical flags produce
 byte-identical files: scan CSV has header ``x,F,status,branch_id``,
 flow CSV has ``sweep_value,track_id,x_root,energy,parity,residual``,
-and numbers carry 17 significant digits.  Exit codes: 0 success,
-2 argument error, 3 numerical failure, 4 validation failure.
+and numbers carry 17 significant digits.  A flow ``track_id`` names one
+(parity, level index) level, numbered in order of first appearance; a
+level that leaves the window and comes back keeps its id.  Model
+``rabi`` has no parity labels: each of its tracks is its k-th level for
+one k.  Exit codes: 0 success, 2 argument error (a sweep step the model
+rejects included), 3 numerical failure, 4 validation failure.
 """
 
 from __future__ import annotations
@@ -280,6 +284,8 @@ def flow(model, kappa, delta, theta, omega, parity, rel_tol, max_terms,
     except NumericsError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(3)
+    except ValueError as exc:
+        raise click.UsageError(f"bad --sweep: {exc}") from exc
 
     rows = []
     for tid, track in enumerate(result.tracks):

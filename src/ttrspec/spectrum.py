@@ -70,13 +70,21 @@ class ScanResult:
 
 @dataclass(frozen=True)
 class Root:
-    """One level located in a scan cell, classified as Zero or PoleCrossing."""
+    """One level located in a scan cell, classified as Zero or PoleCrossing.
+
+    ``index`` is the level's Sturm index: the number of levels of its
+    recurrence below it (for a PoleCrossing holding several levels, below
+    the lowest of them).  The levels of one parity sector are simple
+    eigenvalues of a Jacobi pencil and never cross, so (parity, index)
+    names the same level at every value of a swept parameter.
+    """
 
     x: float
     energy: float
     residual: float
     bracket: tuple[float, float]
     branch_id: int
+    index: int
     parity: int | None
     classification: RootKind
     note: str = ""
@@ -86,9 +94,16 @@ class Root:
 class FlowResult:
     """Spectrum as a function of one swept model parameter.
 
-    tracks are lists of (sweep_index, Root) pairs, matched between
-    adjacent sweep values by nearest energy with ties broken toward
-    preserving the parity label.
+    ``tracks`` are lists of (sweep_index, Root) pairs, one track per
+    level: the Zero roots of one (parity, ``Root.index``) identity, in
+    the order the tracks first appear (by sweep step, then as in
+    ``levels``).  A level that leaves the window and comes back keeps its
+    track.  The identity holds within one sector structure of the
+    model's recurrences: the displaced-frame ``rabi`` recurrence is one
+    ladder at delta = 0 and two parity sectors elsewhere, so its roots at
+    delta = 0 and at delta != 0 lie on different tracks.  ``rabi`` roots
+    carry no parity label, so each of its tracks is its k-th level for
+    one k.
     """
 
     sweep_values: list[float]
@@ -246,7 +261,8 @@ def find_roots(sr: ScanResult, rec: Recurrence, x_tol: float = 1e-10) -> list[Ro
         if rise > 1:
             mid = 0.5 * (lo + hi)
             roots.append(Root(x=mid, energy=rec.energy_of(mid), residual=math.inf,
-                              bracket=(lo, hi), branch_id=int(ids[i]), parity=None,
+                              bracket=(lo, hi), branch_id=int(ids[i]),
+                              index=int(counts[i]), parity=None,
                               classification=RootKind.POLE_CROSSING,
                               note=f"unresolved count: {rise} levels in one cell"))
             continue
@@ -258,8 +274,8 @@ def find_roots(sr: ScanResult, rec: Recurrence, x_tol: float = 1e-10) -> list[Ro
             kind, note = RootKind.ZERO, ""
         roots.append(Root(x=x_best, energy=rec.energy_of(x_best),
                           residual=abs(f_best), bracket=(lo, hi),
-                          branch_id=int(ids[i]), parity=None,
-                          classification=kind, note=note))
+                          branch_id=int(ids[i]), index=int(counts[i]),
+                          parity=None, classification=kind, note=note))
     return roots
 
 
@@ -296,9 +312,11 @@ def flow(model: str, params, sweep: tuple[str, float, float, int],
     """Resolve the spectrum along a parameter sweep and build level tracks.
 
     sweep = (name, lo, hi, steps) with name a field of ``params``
-    (e.g. 'delta' or 'kappa').  Tracks extend by nearest-neighbor energy
-    between adjacent sweep values, parity-preserving on ties; a change
-    in root count starts or ends tracks rather than failing.
+    (e.g. 'delta' or 'kappa').  The parameters of every step are built
+    before the first solve, so a step they reject (kappa = 0) raises
+    ValueError at once.  Each Zero root joins the track of its
+    (sector structure, parity, ``Root.index``) identity; see
+    ``FlowResult``.
     """
     name, lo, hi, steps = sweep
     if steps < 1:
@@ -306,38 +324,20 @@ def flow(model: str, params, sweep: tuple[str, float, float, int],
     if not hasattr(params, name):
         raise ValueError(f"'{name}' is not a parameter of {type(params).__name__}")
     values = [float(v) for v in np.linspace(lo, hi, steps)]
+    step_params = [replace(params, **{name: v}) for v in values]
 
     levels: list[list[Root]] = []
-    for v in values:
-        p = replace(params, **{name: v})
+    tracks: list[list[tuple[int, Root]]] = []
+    track_of: dict[tuple, int] = {}
+    for i, p in enumerate(step_params):
         roots = resolve_spectrum(model, p, window, cfg, parity=parity,
                                  points=points, x_tol=x_tol)
         levels.append([r for r in roots if r.classification is RootKind.ZERO])
-
-    tracks: list[list[tuple[int, Root]]] = [[(0, r)] for r in levels[0]]
-    active = list(range(len(tracks)))
-    for i in range(1, len(values)):
-        roots = levels[i]
-        pairs = []
-        for t in active:
-            last = tracks[t][-1][1]
-            for j, r in enumerate(roots):
-                mismatch = 0 if last.parity == r.parity else 1
-                pairs.append((abs(last.energy - r.energy), mismatch, t, j))
-        pairs.sort()
-        used_t: set[int] = set()
-        used_j: set[int] = set()
-        new_active = []
-        for _, _, t, j in pairs:
-            if t in used_t or j in used_j:
-                continue
-            tracks[t].append((i, roots[j]))
-            used_t.add(t)
-            used_j.add(j)
-            new_active.append(t)
-        for j, r in enumerate(roots):
-            if j not in used_j:
-                tracks.append([(i, r)])
-                new_active.append(len(tracks) - 1)
-        active = sorted(new_active)
+        sectors = tuple(len(rec.sectors) for rec, _ in recurrences_for(model, p, parity))
+        for r in levels[-1]:
+            key = (sectors, r.parity, r.index)
+            if key not in track_of:
+                track_of[key] = len(tracks)
+                tracks.append([])
+            tracks[track_of[key]].append((i, r))
     return FlowResult(sweep_values=values, levels=levels, tracks=tracks)

@@ -8,6 +8,7 @@ from ttrspec import (
     AsymptoticProfile,
     CoefficientPoleError,
     DhoParams,
+    NonConvergenceError,
     ParityRabiParams,
     RabiParams,
     Recurrence,
@@ -123,6 +124,13 @@ class TestRatioCf:
     def test_depth_validation(self):
         with pytest.raises(ValueError):
             ratio_cf(dho_recurrence(DhoParams(0.7)), 0.3, depth=1)
+
+    def test_non_convergence_carries_both_approximants(self):
+        rec = dho_recurrence(DhoParams(0.7))
+        with pytest.raises(NonConvergenceError) as err:
+            ratio_cf(rec, 0.3, depth=2, rel_tol=1e-300, max_depth=8)
+        assert math.isfinite(err.value.last) and math.isfinite(err.value.previous)
+        assert err.value.last != err.value.previous
 
     def test_series_equals_a0_plus_cf_random_models(self):
         rng = np.random.default_rng(42)

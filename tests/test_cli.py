@@ -160,6 +160,10 @@ class TestFlowCommand:
         res = runner.invoke(cli, ["flow", "--model", "dho", "--kappa", "0.7",
                                   "--sweep", "theta:0:1:3"])
         assert res.exit_code == 2
+        for spec in ("kappa:-0.5:0.5:3", "delta:0:1:0"):
+            res = runner.invoke(cli, ["flow", "--model", "dho", "--kappa", "0.7",
+                                      "--sweep", spec])
+            assert res.exit_code == 2, spec
 
     def test_non_finite_input_rejected(self, runner):
         for flags in (["--kappa", "nan", "--sweep", "delta:0:1:3"],

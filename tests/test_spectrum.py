@@ -331,11 +331,25 @@ class TestFlow:
             assert all(g2 > g1 for g1, g2 in zip(gaps, gaps[1:]))
 
     def test_tracks_preserve_parity(self):
-        result = flow("rabi-parity", RabiParams(0.7, 0.0),
-                      ("delta", 0.0, 0.2, 4), (-1.0, 1.4), CFG, points=800)
+        for kappa, sweep, window, points in (
+                (0.7, ("delta", 0.0, 0.2, 4), (-1.0, 1.4), 800),
+                # levels of opposite parity cross inside this sweep
+                (0.23, ("delta", 0.28, 1.28, 6), (-1.0, 2.5), 400)):
+            result = flow("rabi-parity", RabiParams(kappa, 0.0), sweep, window,
+                          CFG, points=points)
+            for track in result.tracks:
+                parities = {r.parity for _, r in track}
+                assert len(parities) == 1
+                assert len({r.index for _, r in track}) == 1
+
+    def test_rabi_tracks_do_not_jump_across_sector_change(self):
+        # one ladder at delta = 0, two parity sectors at delta != 0
+        result = flow("rabi", RabiParams(0.7, 0.0), ("delta", 0.0, 0.1, 3),
+                      (-1.0, 2.0))
+        assert all(result.levels)
         for track in result.tracks:
-            parities = {r.parity for _, r in track}
-            assert len(parities) == 1
+            for (_, r), (_, s) in zip(track, track[1:]):
+                assert abs(r.energy - s.energy) <= 0.1
 
     def test_single_step_sweep_reduces_to_resolve(self):
         result = flow("rabi-parity", RabiParams(0.7, 0.4),
@@ -345,8 +359,14 @@ class TestFlow:
         assert result.levels[0] == direct
         assert len(result.tracks) == len(direct)
 
-    def test_sweep_validation(self):
+    def test_sweep_validation(self, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a step was solved")
+
+        monkeypatch.setattr("ttrspec.spectrum.resolve_spectrum", no_solve)
         with pytest.raises(ValueError, match="steps"):
             flow("dho", DhoParams(0.7), ("kappa", 0.5, 1.0, 0), (-1.0, 1.0), CFG)
         with pytest.raises(ValueError, match="parameter"):
             flow("dho", DhoParams(0.7), ("theta", 0.0, 1.0, 3), (-1.0, 1.0), CFG)
+        with pytest.raises(ValueError, match="kappa must be nonzero"):
+            flow("dho", DhoParams(0.7), ("kappa", -0.5, 0.5, 3), (-1.0, 1.0), CFG)
