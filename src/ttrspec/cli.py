@@ -94,6 +94,13 @@ def _check_window(x_min, x_max, points):
         raise click.UsageError("--points must be >= 16")
 
 
+def _series_config(rel_tol, max_terms) -> SeriesConfig:
+    try:
+        return SeriesConfig(rel_tol=rel_tol, max_terms=max_terms)
+    except ValueError as exc:
+        raise click.UsageError(str(exc)) from exc
+
+
 def _params_dict(params) -> dict:
     return {k: v for k, v in dataclasses.asdict(params).items()}
 
@@ -183,7 +190,7 @@ def scan(model, kappa, delta, theta, omega, parity, rel_tol, max_terms,
         raise click.UsageError(
             "scan writes a single F column; choose --parity plus or minus")
     params = _params_for(model, kappa, delta, theta, omega, parity)
-    cfg = SeriesConfig(rel_tol=rel_tol, max_terms=max_terms)
+    cfg = _series_config(rel_tol, max_terms)
     from .models import recurrences_for
 
     rec, _ = recurrences_for(model, params, parity=parity)[0]
@@ -224,7 +231,7 @@ def roots(model, kappa, delta, theta, omega, parity, rel_tol, max_terms,
     _check_window(x_min, x_max, points)
     params = _params_for(model, kappa, delta, theta, omega,
                          parity if parity != "both" else None)
-    cfg = SeriesConfig(rel_tol=rel_tol, max_terms=max_terms)
+    cfg = _series_config(rel_tol, max_terms)
     try:
         found = resolve_spectrum(model, params, (x_min, x_max), cfg,
                                  parity=parity, points=points, x_tol=x_tol)
@@ -276,7 +283,7 @@ def flow(model, kappa, delta, theta, omega, parity, rel_tol, max_terms,
     if not hasattr(params, name):
         raise click.UsageError(
             f"'{name}' is not a parameter of model '{model}'")
-    cfg = SeriesConfig(rel_tol=rel_tol, max_terms=max_terms)
+    cfg = _series_config(rel_tol, max_terms)
     try:
         result = run_flow(model, params, (name, lo, hi, steps),
                           (x_min, x_max), cfg, parity=parity,

@@ -138,7 +138,9 @@ def scan(rec: Recurrence, x_lo: float, x_hi: float, points: int,
     is halved until the count rises by exactly one across it and char(x)
     changes sign, or until it is narrower than 1e-12 of the window: two
     levels closer than that, or a pole that close to a zero, stay in one
-    cell.  Each returned x carries exactly one evaluation of char(x).
+    cell.  The grid is counted in one array call to ``rec.levels_below``
+    and the halving midpoints one at a time.  Each returned x carries
+    exactly one evaluation of char(x).
     """
     if not x_lo < x_hi:
         raise ValueError("x_lo must be < x_hi")
@@ -161,7 +163,8 @@ def scan(rec: Recurrence, x_lo: float, x_hi: float, points: int,
     def visit(x: float) -> tuple[float, CharEval, int]:
         return x, _evaluate(rec, x, cfg), rec.levels_below(x)
 
-    ends = [visit(x) for x in grid]
+    counts = rec.levels_below(np.asarray(grid)).tolist()
+    ends = [(x, _evaluate(rec, x, cfg), c) for x, c in zip(grid, counts)]
     pts = [ends[0]]
     for right in ends[1:]:
         pending = [right]

@@ -186,6 +186,19 @@ class TestFlowCommand:
         assert payload["tracks"]
 
 
+@pytest.mark.parametrize("command", [
+    ["roots"], ["scan"], ["flow", "--sweep", "kappa:0.5:1:3"]])
+@pytest.mark.parametrize("flag, value, message", [
+    ("--rel-tol", "0", "rel_tol must be positive"),
+    ("--max-terms", "0", "max_terms must be >= 1"),
+])
+def test_bad_series_options_rejected(runner, command, flag, value, message):
+    res = runner.invoke(cli, command + ["--model", "dho", "--kappa", "0.7",
+                                        flag, value])
+    assert res.exit_code == 2
+    assert message in res.output
+
+
 class TestValidateCommand:
     def test_single_model_passes(self, runner):
         res = runner.invoke(cli, ["validate", "--model", "jc"])

@@ -108,6 +108,17 @@ class TestScan:
         sr = scan(rec, -1.0, 3.0, 2001, CFG)
         assert not any(float(x) in (0.0, 1.0, 2.0) for x in sr.xs)
 
+    @pytest.mark.parametrize("rec, x_lo, x_hi, points", [
+        (dho_recurrence(DhoParams(0.7)), -1.0, 6.0, 500),
+        (parity_rabi_recurrence(ParityRabiParams(1.5, 0.7, 1.0, "minus")), -3.0, 8.0, 400),
+        (rabi_displaced_recurrence(RabiParams(0.7, 0.4)), -0.5, 3.5, 300),
+        # linspace(-1, 3, 2001) hits the poles 0, 1, 2: the grid is nudged
+        (rabi_displaced_recurrence(RabiParams(0.7, 0.4)), -1.0, 3.0, 2001),
+    ])
+    def test_grid_counts_equal_scalar_counts(self, rec, x_lo, x_hi, points):
+        sr = scan(rec, x_lo, x_hi, points, CFG)
+        assert sr.counts.tolist() == [rec.levels_below(float(x)) for x in sr.xs]
+
     def test_falling_count_raises(self):
         # a_n grows with x: the mirror image of DHO kappa = 1, whose count
         # falls with x, so the count cannot place its zeros
