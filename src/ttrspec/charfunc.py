@@ -29,6 +29,7 @@ same backward ratios.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 from .errors import CoefficientPoleError, NonConvergenceError, NumericsError
@@ -59,8 +60,8 @@ class SeriesConfig:
     pole_guard: float = 1e-12
 
     def __post_init__(self):
-        if self.rel_tol <= 0:
-            raise ValueError("rel_tol must be positive")
+        if not 0.0 < self.rel_tol < math.inf:
+            raise ValueError("rel_tol must be positive and finite")
         if self.max_terms < 1:
             raise ValueError("max_terms must be >= 1")
         if self.consecutive_small < 1:

@@ -85,13 +85,15 @@ def _require_recurrence(model):
             "`validate` applies to it (oracle diagonalization)")
 
 
-def _check_window(x_min, x_max, points):
+def _check_numerics(x_min, x_max, points, x_tol):
     if not (math.isfinite(x_min) and math.isfinite(x_max)):
         raise click.UsageError("--x-min and --x-max must be finite")
     if not x_min < x_max:
         raise click.UsageError("--x-min must be smaller than --x-max")
     if points < 16:
         raise click.UsageError("--points must be >= 16")
+    if not 0.0 <= x_tol < math.inf:
+        raise click.UsageError("--x-tol must be finite and >= 0")
 
 
 def _series_config(rel_tol, max_terms) -> SeriesConfig:
@@ -185,7 +187,7 @@ def scan(model, kappa, delta, theta, omega, parity, rel_tol, max_terms,
          x_tol, points, x_min, x_max, out, fmt):
     """Tabulate the characteristic function over an energy window."""
     _require_recurrence(model)
-    _check_window(x_min, x_max, points)
+    _check_numerics(x_min, x_max, points, x_tol)
     if model == "rabi-parity" and parity == "both":
         raise click.UsageError(
             "scan writes a single F column; choose --parity plus or minus")
@@ -228,7 +230,7 @@ def roots(model, kappa, delta, theta, omega, parity, rel_tol, max_terms,
           x_tol, points, x_min, x_max, out, fmt):
     """Refine and classify the zeros inside an energy window."""
     _require_recurrence(model)
-    _check_window(x_min, x_max, points)
+    _check_numerics(x_min, x_max, points, x_tol)
     params = _params_for(model, kappa, delta, theta, omega,
                          parity if parity != "both" else None)
     cfg = _series_config(rel_tol, max_terms)
@@ -262,7 +264,7 @@ def flow(model, kappa, delta, theta, omega, parity, rel_tol, max_terms,
          x_tol, points, x_min, x_max, sweep, out, fmt):
     """Track the spectrum along a one-parameter sweep."""
     _require_recurrence(model)
-    _check_window(x_min, x_max, points)
+    _check_numerics(x_min, x_max, points, x_tol)
     parts = sweep.split(":")
     if len(parts) != 4:
         raise click.UsageError("--sweep must be name:lo:hi:steps")

@@ -1,22 +1,21 @@
-"""Scan the characteristic function, isolate its zeros by exact level counts.
+"""Isolate the zeros of the characteristic function by exact level counts.
 
 The characteristic function is a chain of discontinuous branches, so a
 sign change on a grid may be a zero or a pole.  ``Recurrence.levels_below``
 counts the levels below x exactly, from the signs of the recurrence's
-forward pivots, and that count decides:
+forward pivots, and that count alone isolates every level: a cell whose
+count rises by one holds exactly one (Sturm bisection; Barth, Martin &
+Wilkinson, 1967).  ``find_roots`` splits the cells of a grid on the
+count until each holds one level, narrows each to x_tol on the count,
+and only then evaluates char(x), to polish the root.  The count assumes
+a recurrence whose coefficients form a pencil of the shipped
+orientation (see ``Recurrence``); NumericsError is raised where it falls.
 
-* a cell whose count rises by exactly one and across which char(x)
-  changes sign holds exactly one zero (a certified cell);
-* any other cell whose count rises is halved until it becomes one;
-* a cell changes sign once per zero and once per pole, so a sign change
-  that the count does not account for (above all, one across a cell with
-  no level) is a pole and ends a branch, as do explicit coefficient poles
-  and PoleDetected points.
-
-``find_roots`` bisects each cell holding one level on the count and
-polishes the result on char(x).  The count assumes a recurrence whose
-coefficients form a pencil of the shipped orientation (see
-``Recurrence``); ``scan`` raises NumericsError where the count falls.
+``scan`` tabulates char(x) for plotting: the grid plus the bracket of
+every level.  A cell changes sign once per zero and once per pole, so a
+sign change that the count does not account for (above all, one across
+a cell with no level) is a pole and ends a branch, as do explicit
+coefficient poles and PoleDetected points.
 """
 
 from __future__ import annotations
@@ -35,9 +34,9 @@ from .recurrence import Recurrence
 
 #: grid points this close (relative to span) to an explicit pole are nudged
 _POLE_NUDGE = 1e-9
-#: cells narrower than this fraction of the window are not halved further:
-#: the resolution below which a pole and a zero, or two levels of different
-#: sectors, are left in one cell
+#: a cell holding several levels is not halved below this fraction of the
+#: window: two levels closer than that (degenerate, or of different
+#: sectors) stay in one cell
 _HALVING_FLOOR = 1e-12
 
 
@@ -48,13 +47,13 @@ class RootKind(Enum):
 
 @dataclass(frozen=True)
 class ScanResult:
-    """Grid evaluation of the characteristic function with level counts.
+    """Tabulation of the characteristic function with level counts.
 
-    ``counts[i]`` is the number of levels below ``xs[i]``, so the cells
-    hold the levels in [xs[0], xs[-1]); a level within rounding of an end
-    may fall on either side of it.  Cells whose count rises have been
-    halved until each is certified (the count rises by one and char(x)
-    changes sign) or is narrower than 1e-12 of the window.
+    ``xs`` are the nudged grid of ``find_roots`` at the same arguments
+    plus the bracket ends of every root it returns, so every level shows
+    as one narrow cell across which the count rises and char(x) changes
+    sign, unless a pole shares the cell.  ``counts[i]`` is the number of
+    levels below ``xs[i]``.
     ``branch_ids`` are non-decreasing and increment across every cell
     that holds an explicit coefficient pole, touches a PoleDetected
     point, or changes sign a number of times the count does not account
@@ -65,12 +64,11 @@ class ScanResult:
     fs: list[CharEval]
     counts: np.ndarray
     branch_ids: np.ndarray
-    cfg: SeriesConfig
 
 
 @dataclass(frozen=True)
 class Root:
-    """One level located in a scan cell, classified as Zero or PoleCrossing.
+    """One level isolated by the count, classified as Zero or PoleCrossing.
 
     ``index`` is the level's Sturm index: the number of levels of its
     recurrence below it (for a PoleCrossing holding several levels, below
@@ -83,13 +81,10 @@ class Root:
     energy: float
     residual: float
     bracket: tuple[float, float]
-    branch_id: int
     index: int
     parity: int | None
     classification: RootKind
     note: str = ""
-
-
 @dataclass(frozen=True)
 class FlowResult:
     """Spectrum as a function of one swept model parameter.
@@ -118,93 +113,26 @@ def _evaluate(rec: Recurrence, x: float, cfg: SeriesConfig) -> CharEval:
         return CharEval(math.nan, 0, SeriesStatus.POLE, math.inf)
 
 
-def _sign_change(fl: CharEval, fr: CharEval) -> bool | None:
-    """Whether char(x) changes sign across a cell; None if an end failed."""
-    if (fl.status is not SeriesStatus.CONVERGED
-            or fr.status is not SeriesStatus.CONVERGED):
-        return None
-    return fl.value * fr.value <= 0.0
-
-
-def scan(rec: Recurrence, x_lo: float, x_hi: float, points: int,
-         cfg: SeriesConfig = DEFAULT_CONFIG) -> ScanResult:
-    """Evaluate char(x) and the level count on a grid over [x_lo, x_hi].
-
-    ``rec.levels_below`` must rise with x, as it does for a pencil of the
-    orientation ``Recurrence`` describes; NumericsError is raised where
-    the count falls instead of dropping the levels it would have held.
-    Grid points that coincide with explicit coefficient poles are
-    perturbed by 1e-9 of the window width.  Every cell whose count rises
-    is halved until the count rises by exactly one across it and char(x)
-    changes sign, or until it is narrower than 1e-12 of the window: two
-    levels closer than that, or a pole that close to a zero, stay in one
-    cell.  The grid is counted in one array call to ``rec.levels_below``
-    and the halving midpoints one at a time.  Each returned x carries
-    exactly one evaluation of char(x).
-    """
+def _grid(rec: Recurrence, x_lo: float, x_hi: float,
+          points: int) -> tuple[list[float], list[float]]:
+    """The ``points``-point grid over [x_lo, x_hi], with every point that
+    lies within 1e-9 of the window of an explicit coefficient pole moved
+    up by that much, and the sorted explicit poles of the window."""
     if not x_lo < x_hi:
         raise ValueError("x_lo must be < x_hi")
     if points < 16:
         raise ValueError("points must be >= 16")
-    span = x_hi - x_lo
-    floor = _HALVING_FLOOR * span
     poles = sorted(rec.explicit_poles(x_lo, x_hi))
-
     grid = list(np.linspace(x_lo, x_hi, points))
     if poles:
-        nudge = _POLE_NUDGE * span
+        nudge = _POLE_NUDGE * (x_hi - x_lo)
         for i, x in enumerate(grid):
             j = _bisect.bisect_left(poles, x)
             near = min((abs(x - poles[m]) for m in (j - 1, j)
                         if 0 <= m < len(poles)), default=math.inf)
             if near < nudge:
                 grid[i] = x + nudge
-
-    def visit(x: float) -> tuple[float, CharEval, int]:
-        return x, _evaluate(rec, x, cfg), rec.levels_below(x)
-
-    counts = rec.levels_below(np.asarray(grid)).tolist()
-    ends = [(x, _evaluate(rec, x, cfg), c) for x, c in zip(grid, counts)]
-    pts = [ends[0]]
-    for right in ends[1:]:
-        pending = [right]
-        while pending:
-            (xl, fl, cl), (xr, fr, cr) = pts[-1], pending[-1]
-            mid = 0.5 * (xl + xr)
-            certified = cr - cl == 1 and _sign_change(fl, fr)
-            if cr > cl and not certified and xr - xl > floor and xl < mid < xr:
-                pending.append(visit(mid))
-            else:
-                pts.append(pending.pop())
-
-    branch_ids = [0]
-    for (xl, fl, cl), (xr, fr, cr) in zip(pts, pts[1:]):
-        if cr < cl:
-            raise NumericsError(
-                f"level count falls from {cl} to {cr} across [{xl}, {xr}] in "
-                f"'{rec.label}': its coefficients are not a pencil of the "
-                "orientation the count assumes")
-        sc = _sign_change(fl, fr)
-        ends_branch = (sc is None or sc != ((cr - cl) % 2 == 1)
-                       or _bisect.bisect_right(poles, xl) < _bisect.bisect_right(poles, xr))
-        branch_ids.append(branch_ids[-1] + ends_branch)
-    return ScanResult(xs=np.asarray([p[0] for p in pts]), fs=[p[1] for p in pts],
-                      counts=np.asarray([p[2] for p in pts]),
-                      branch_ids=np.asarray(branch_ids), cfg=cfg)
-
-
-def _bisect_count(rec: Recurrence, lo: float, hi: float, below: int,
-                  x_tol: float) -> tuple[float, float]:
-    """Shrink a cell holding one level (``below`` levels below lo) to x_tol."""
-    while hi - lo > x_tol:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break
-        if rec.levels_below(mid) > below:
-            hi = mid
-        else:
-            lo = mid
-    return lo, hi
+    return grid, poles
 
 
 def _polish(rec: Recurrence, lo: float, hi: float,
@@ -240,46 +168,99 @@ def _polish(rec: Recurrence, lo: float, hi: float,
     return best_x, best_f
 
 
-def find_roots(sr: ScanResult, rec: Recurrence, x_tol: float = 1e-10) -> list[Root]:
-    """Locate every level the scan's counts place in [xs[0], xs[-1]).
+def find_roots(rec: Recurrence, x_lo: float, x_hi: float, points: int,
+               cfg: SeriesConfig = DEFAULT_CONFIG,
+               x_tol: float = 1e-10) -> list[Root]:
+    """Isolate every level in [x_lo, x_hi) by the count, then polish it.
 
-    A cell whose count rises by one holds exactly one level: it is
-    bisected on the count to x_tol and polished by secant steps on
-    char(x), and the point of smallest |char| is returned as a Zero with
+    The grid of ``points`` points (moved 1e-9 of the window off explicit
+    coefficient poles) is counted in one array call to
+    ``rec.levels_below``.  The count must rise with x, as it does for a
+    pencil of the orientation ``Recurrence`` describes; NumericsError is
+    raised where it falls instead of dropping the levels it would have
+    held.  A cell whose count rises by more than one is halved on the
+    count until each part holds one level or is narrower than 1e-12 of
+    the window, and a cell holding one level is halved on to x_tol.
+    Only then is char(x) evaluated: up to three secant steps polish the
+    bracket, and the point of smallest |char| is returned as a Zero with
     that residual.  A Zero within 10*x_tol of an explicit coefficient
     pole is returned as a PoleCrossing noted as a possible exceptional
     point, outside the regular spectrum.  A cell that still holds more
-    than one level (closer than the scan's halving floor) is returned as
-    one PoleCrossing whose note gives the count, so no level is dropped
-    silently.
+    than one level at the floor (two levels, or levels of two sectors,
+    closer than that) is returned as one PoleCrossing whose note gives
+    the count, so no level is dropped silently.
     """
-    xs, counts, ids = sr.xs, sr.counts, sr.branch_ids
-    poles = sorted(rec.explicit_poles(float(xs[0]), float(xs[-1])))
+    if not 0.0 <= x_tol < math.inf:
+        raise ValueError("x_tol must be finite and >= 0")
+    grid, poles = _grid(rec, x_lo, x_hi, points)
+    floor = _HALVING_FLOOR * (x_hi - x_lo)
+    counts = rec.levels_below(np.asarray(grid)).tolist()
+    stack = list(zip(grid, grid[1:], counts, counts[1:]))[::-1]
     roots: list[Root] = []
-    for i in range(len(xs) - 1):
-        rise = int(counts[i + 1] - counts[i])
-        if rise <= 0:
+    while stack:
+        lo, hi, c_lo, c_hi = stack.pop()
+        rise = c_hi - c_lo
+        if rise < 0:
+            raise NumericsError(
+                f"level count falls from {c_lo} to {c_hi} across [{lo}, {hi}] "
+                f"in '{rec.label}': its coefficients are not a pencil of the "
+                "orientation the count assumes")
+        if rise == 0:
             continue
-        lo, hi = float(xs[i]), float(xs[i + 1])
+        mid = 0.5 * (lo + hi)
+        if hi - lo > (x_tol if rise == 1 else floor) and lo < mid < hi:
+            c_mid = rec.levels_below(mid)
+            stack += [(mid, hi, c_mid, c_hi), (lo, mid, c_lo, c_mid)]
+            continue
         if rise > 1:
-            mid = 0.5 * (lo + hi)
-            roots.append(Root(x=mid, energy=rec.energy_of(mid), residual=math.inf,
-                              bracket=(lo, hi), branch_id=int(ids[i]),
-                              index=int(counts[i]), parity=None,
-                              classification=RootKind.POLE_CROSSING,
-                              note=f"unresolved count: {rise} levels in one cell"))
-            continue
-        lo, hi = _bisect_count(rec, lo, hi, int(counts[i]), x_tol)
-        x_best, f_best = _polish(rec, lo, hi, sr.cfg)
-        if any(abs(x_best - p) <= 10.0 * x_tol for p in poles):
-            kind, note = RootKind.POLE_CROSSING, "possible exceptional point"
+            x, f = mid, math.inf
+            kind, note = RootKind.POLE_CROSSING, f"unresolved count: {rise} levels in one cell"
         else:
-            kind, note = RootKind.ZERO, ""
-        roots.append(Root(x=x_best, energy=rec.energy_of(x_best),
-                          residual=abs(f_best), bracket=(lo, hi),
-                          branch_id=int(ids[i]), index=int(counts[i]),
-                          parity=None, classification=kind, note=note))
+            x, f = _polish(rec, lo, hi, cfg)
+            if any(abs(x - p) <= 10.0 * x_tol for p in poles):
+                kind, note = RootKind.POLE_CROSSING, "possible exceptional point"
+            else:
+                kind, note = RootKind.ZERO, ""
+        roots.append(Root(x=x, energy=rec.energy_of(x), residual=abs(f),
+                          bracket=(lo, hi), index=c_lo, parity=None,
+                          classification=kind, note=note))
     return roots
+
+
+def _sign_change(fl: CharEval, fr: CharEval) -> bool | None:
+    """Whether char(x) changes sign across a cell; None if an end failed."""
+    if (fl.status is not SeriesStatus.CONVERGED
+            or fr.status is not SeriesStatus.CONVERGED):
+        return None
+    return fl.value * fr.value <= 0.0
+
+
+def scan(rec: Recurrence, x_lo: float, x_hi: float, points: int,
+         cfg: SeriesConfig = DEFAULT_CONFIG) -> ScanResult:
+    """Tabulate char(x) and the level count over [x_lo, x_hi].
+
+    The rows are the grid of ``find_roots`` at the same arguments plus
+    the bracket ends of every root it returns, so each level lies in a
+    cell no wider than the default x_tol.  ``find_roots`` raises the
+    errors (ValueError for a bad window, NumericsError where the count
+    falls).  The rows are counted in one array call to
+    ``rec.levels_below``, and each carries exactly one evaluation of
+    char(x).
+    """
+    grid, poles = _grid(rec, x_lo, x_hi, points)
+    ends = [x for r in find_roots(rec, x_lo, x_hi, points, cfg) for x in r.bracket]
+    xs = np.asarray(sorted(set(grid).union(ends)))
+    counts = rec.levels_below(xs).tolist()
+    fs = [_evaluate(rec, x, cfg) for x in xs.tolist()]
+    branch_ids = [0]
+    for i in range(1, len(xs)):
+        sc = _sign_change(fs[i - 1], fs[i])
+        ends_branch = (sc is None or sc != ((counts[i] - counts[i - 1]) % 2 == 1)
+                       or _bisect.bisect_right(poles, xs[i - 1])
+                       < _bisect.bisect_right(poles, xs[i]))
+        branch_ids.append(branch_ids[-1] + ends_branch)
+    return ScanResult(xs=xs, fs=fs, counts=np.asarray(counts),
+                      branch_ids=np.asarray(branch_ids))
 
 
 _PARITY_ORDER = {1: 0, -1: 1, None: 2}
@@ -289,10 +270,10 @@ def resolve_spectrum(model: str, params, window: tuple[float, float],
                      cfg: SeriesConfig = DEFAULT_CONFIG, *,
                      parity: str = "both", points: int = 4000,
                      x_tol: float = 1e-10) -> list[Root]:
-    """Scan and refine one model over the energy window [e_lo, e_hi)
-    (units of omega).
+    """Find and polish the levels of one model in the energy window
+    [e_lo, e_hi) (units of omega).
 
-    For the parity-resolved model both branches are scanned and merged
+    For the parity-resolved model both branches are solved and merged
     into one ascending-energy list carrying parity labels; single-
     recurrence models carry parity None.
     """
@@ -301,8 +282,8 @@ def resolve_spectrum(model: str, params, window: tuple[float, float],
         raise ValueError("window must satisfy e_lo < e_hi")
     merged: list[Root] = []
     for rec, label in recurrences_for(model, params, parity=parity):
-        sr = scan(rec, rec.x_of(e_lo), rec.x_of(e_hi), points, cfg)
-        for root in find_roots(sr, rec, x_tol=x_tol):
+        for root in find_roots(rec, rec.x_of(e_lo), rec.x_of(e_hi), points,
+                               cfg, x_tol=x_tol):
             merged.append(replace(root, parity=label))
     merged.sort(key=lambda r: (r.energy, _PARITY_ORDER[r.parity]))
     return merged

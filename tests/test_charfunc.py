@@ -50,6 +50,7 @@ class TestSeriesConfig:
 
     @pytest.mark.parametrize("kwargs", [
         {"rel_tol": 0.0}, {"rel_tol": -1e-3},
+        {"rel_tol": math.nan}, {"rel_tol": math.inf},
         {"max_terms": 0}, {"consecutive_small": 0},
     ])
     def test_rejects_bad_values(self, kwargs):

@@ -190,7 +190,12 @@ class TestFlowCommand:
     ["roots"], ["scan"], ["flow", "--sweep", "kappa:0.5:1:3"]])
 @pytest.mark.parametrize("flag, value, message", [
     ("--rel-tol", "0", "rel_tol must be positive"),
+    ("--rel-tol", "nan", "rel_tol must be positive"),
+    ("--rel-tol", "inf", "rel_tol must be positive"),
     ("--max-terms", "0", "max_terms must be >= 1"),
+    ("--x-tol", "nan", "--x-tol must be finite"),
+    ("--x-tol", "inf", "--x-tol must be finite"),
+    ("--x-tol", "-1e-10", "--x-tol must be finite"),
 ])
 def test_bad_series_options_rejected(runner, command, flag, value, message):
     res = runner.invoke(cli, command + ["--model", "dho", "--kappa", "0.7",

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from ttrspec import (
     SeriesConfig,
     SeriesStatus,
     build_hamiltonian,
+    char_series,
     dho_exact_levels,
     dho_recurrence,
     eigen_lowest,
@@ -91,7 +93,7 @@ class TestScan:
         assert int(sr.branch_ids[-1]) == 0
         assert all(f.status is SeriesStatus.CONVERGED for f in sr.fs)
         assert all(f.value > 0.9 for f in sr.fs)
-        assert find_roots(sr, rec) == []
+        assert find_roots(rec, -1.0, 1.0, 200, CFG) == []
 
     def test_displaced_rabi_boundaries_at_explicit_poles(self):
         rec = rabi_displaced_recurrence(RabiParams(0.7, 0.4))
@@ -118,6 +120,13 @@ class TestScan:
     def test_grid_counts_equal_scalar_counts(self, rec, x_lo, x_hi, points):
         sr = scan(rec, x_lo, x_hi, points, CFG)
         assert sr.counts.tolist() == [rec.levels_below(float(x)) for x in sr.xs]
+        # the rows are the nudged grid plus every root's bracket ends
+        nudge = 1e-9 * (x_hi - x_lo)
+        poles = rec.explicit_poles(x_lo, x_hi)
+        grid = [x + nudge if any(abs(x - p) < nudge for p in poles) else x
+                for x in np.linspace(x_lo, x_hi, points).tolist()]
+        ends = [x for r in find_roots(rec, x_lo, x_hi, points, CFG) for x in r.bracket]
+        assert sr.xs.tolist() == sorted(set(grid + ends))
 
     def test_falling_count_raises(self):
         # a_n grows with x: the mirror image of DHO kappa = 1, whose count
@@ -133,8 +142,7 @@ class TestScan:
 class TestFindRoots:
     def test_dho_exact_levels(self):
         rec = dho_recurrence(DhoParams(0.7))
-        sr = scan(rec, -1.0, 6.0, 4000, CFG)
-        roots = find_roots(sr, rec)
+        roots = find_roots(rec, -1.0, 6.0, 4000, CFG)
         zeros = zeros_of(roots)
         assert len(zeros) == 7
         for l, root in enumerate(zeros):
@@ -144,29 +152,25 @@ class TestFindRoots:
 
     def test_no_pole_misclassified_as_zero(self):
         rec = dho_recurrence(DhoParams(0.7))
-        sr = scan(rec, -1.0, 6.0, 4000, CFG)
         exact = dho_exact_levels(DhoParams(0.7), 6)
-        for root in zeros_of(find_roots(sr, rec)):
+        for root in zeros_of(find_roots(rec, -1.0, 6.0, 4000, CFG)):
             assert min(abs(root.x - e) for e in exact) < 1e-8
 
     def test_parity_rabi_quoted_zeros(self):
         for parity, expected, tol in (("minus", -0.707805, 1e-4),
                                       ("plus", -0.4270437, 1e-5)):
             rec = parity_rabi_recurrence(ParityRabiParams(0.7, 0.4, 1.0, parity))
-            sr = scan(rec, -1.0, 1.0, 1500, CFG)
-            zeros = zeros_of(find_roots(sr, rec, x_tol=1e-12))
+            zeros = zeros_of(find_roots(rec, -1.0, 1.0, 1500, CFG, x_tol=1e-12))
             assert any(abs(r.x - expected) < tol for r in zeros)
 
     def test_exceptional_point_guard(self):
         # a pole abscissa declared within 10*x_tol of a refined zero must
-        # demote it to PoleCrossing with a note; scan with the clean
-        # recurrence so the candidate actually reaches bisection
+        # demote it to PoleCrossing with a note
         base = dho_recurrence(DhoParams(0.7))
         planted = Recurrence(a=base.a, b=base.b, profile=base.profile,
                              explicit_poles=lambda lo, hi: [0.51],
                              label="planted")
-        sr = scan(base, 0.4, 0.6, 64, CFG)
-        roots = find_roots(sr, planted)
+        roots = find_roots(planted, 0.4, 0.6, 64, CFG)
         assert zeros_of(roots) == []
         flagged = [r for r in pole_crossings_of(roots)
                    if "exceptional" in r.note]
@@ -180,8 +184,7 @@ class TestFindRoots:
         dho = dho_recurrence(DhoParams(0.7))
         doubled = Recurrence(a=dho.a, b=dho.b, profile=dho.profile,
                              sectors=(dho, dho), label="doubled")
-        sr = scan(doubled, -1.0, 2.0, 300, CFG)
-        roots = find_roots(sr, doubled)
+        roots = find_roots(doubled, -1.0, 2.0, 300, CFG)
         assert zeros_of(roots) == []
         assert len(roots) == 3
         for root, level in zip(roots, dho_exact_levels(DhoParams(0.7), 2)):
@@ -198,6 +201,30 @@ class TestFindRoots:
 
 
 class TestResolveSpectrum:
+    @pytest.mark.parametrize("model, params, window", [
+        ("dho", DhoParams(0.7), (-1.0, 6.0)),
+        ("rabi-parity", RabiParams(1.5, 0.7), (-3.0, 8.0)),
+    ])
+    def test_char_evaluated_only_to_polish(self, monkeypatch, model, params, window):
+        import ttrspec.spectrum as spectrum
+
+        calls = []
+
+        def counting(*args, **kwargs):
+            frames = []
+            frame = sys._getframe(1)
+            while frame is not None:
+                frames.append(frame.f_code)
+                frame = frame.f_back
+            calls.append(spectrum.find_roots.__code__ in frames)
+            return char_series(*args, **kwargs)
+
+        monkeypatch.setattr(spectrum, "char_series", counting)
+        roots = resolve_spectrum(model, params, window, CFG, points=4000)
+        assert roots
+        assert len(calls) <= 5 * len(roots)
+        assert all(calls)
+
     def test_dho_energies(self):
         roots = zeros_of(resolve_spectrum("dho", DhoParams(0.7), (-1.0, 6.0),
                                           CFG, points=2000))
