@@ -29,7 +29,6 @@ same backward ratios.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 from .errors import CoefficientPoleError, NonConvergenceError, NumericsError
@@ -60,7 +59,7 @@ class SeriesConfig:
     pole_guard: float = 1e-12
 
     def __post_init__(self):
-        if not 0.0 < self.rel_tol < math.inf:
+        if not 0.0 < self.rel_tol < float("inf"):
             raise ValueError("rel_tol must be positive and finite")
         if self.max_terms < 1:
             raise ValueError("max_terms must be >= 1")

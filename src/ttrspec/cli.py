@@ -85,7 +85,7 @@ def _require_recurrence(model):
             "`validate` applies to it (oracle diagonalization)")
 
 
-def _check_numerics(x_min, x_max, points, x_tol):
+def _check_window(x_min, x_max, points, x_tol=0.0):
     if not (math.isfinite(x_min) and math.isfinite(x_max)):
         raise click.UsageError("--x-min and --x-max must be finite")
     if not x_min < x_max:
@@ -157,11 +157,13 @@ def _model_options(fn):
     return fn
 
 
+_x_tol_option = click.option("--x-tol", type=float, default=1e-10, show_default=True)
+
+
 def _numeric_options(fn):
     opts = [
         click.option("--rel-tol", type=float, default=1e-14, show_default=True),
         click.option("--max-terms", type=int, default=20000, show_default=True),
-        click.option("--x-tol", type=float, default=1e-10, show_default=True),
         click.option("--points", type=int, default=4000, show_default=True),
         click.option("--x-min", type=float, default=-1.0, show_default=True),
         click.option("--x-max", type=float, default=6.0, show_default=True),
@@ -184,10 +186,10 @@ def cli():
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv",
               show_default=True)
 def scan(model, kappa, delta, theta, omega, parity, rel_tol, max_terms,
-         x_tol, points, x_min, x_max, out, fmt):
+         points, x_min, x_max, out, fmt):
     """Tabulate the characteristic function over an energy window."""
     _require_recurrence(model)
-    _check_numerics(x_min, x_max, points, x_tol)
+    _check_window(x_min, x_max, points)
     if model == "rabi-parity" and parity == "both":
         raise click.UsageError(
             "scan writes a single F column; choose --parity plus or minus")
@@ -223,6 +225,7 @@ def scan(model, kappa, delta, theta, omega, parity, rel_tol, max_terms,
 @cli.command()
 @_model_options
 @_numeric_options
+@_x_tol_option
 @click.option("--out", type=click.Path(), default=None, help="Output path (default stdout).")
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json",
               show_default=True)
@@ -230,7 +233,7 @@ def roots(model, kappa, delta, theta, omega, parity, rel_tol, max_terms,
           x_tol, points, x_min, x_max, out, fmt):
     """Refine and classify the zeros inside an energy window."""
     _require_recurrence(model)
-    _check_numerics(x_min, x_max, points, x_tol)
+    _check_window(x_min, x_max, points, x_tol)
     params = _params_for(model, kappa, delta, theta, omega,
                          parity if parity != "both" else None)
     cfg = _series_config(rel_tol, max_terms)
@@ -255,6 +258,7 @@ def roots(model, kappa, delta, theta, omega, parity, rel_tol, max_terms,
 @cli.command()
 @_model_options
 @_numeric_options
+@_x_tol_option
 @click.option("--sweep", required=True,
               help="Swept parameter as name:lo:hi:steps, e.g. delta:0:1:50.")
 @click.option("--out", type=click.Path(), default=None, help="Output path (default stdout).")
@@ -264,7 +268,7 @@ def flow(model, kappa, delta, theta, omega, parity, rel_tol, max_terms,
          x_tol, points, x_min, x_max, sweep, out, fmt):
     """Track the spectrum along a one-parameter sweep."""
     _require_recurrence(model)
-    _check_numerics(x_min, x_max, points, x_tol)
+    _check_window(x_min, x_max, points, x_tol)
     parts = sweep.split(":")
     if len(parts) != 4:
         raise click.UsageError("--sweep must be name:lo:hi:steps")

@@ -83,8 +83,8 @@ class Recurrence:
     linear in x, with sign(profile.a_coef)*a_n decreasing in x, so that
     the count rises with x.  A recurrence that is not such a pencil
     declares ``sectors`` that are; coefficients that ignore x, or grow
-    with it, give a count that is flat or falls, and ``find_roots``
-    rejects a falling count.
+    with it, give a count that is flat or falls, and ``scan`` rejects
+    a falling count.
     """
 
     a: Callable[[int, float], float]

@@ -1,21 +1,21 @@
-"""Isolate the zeros of the characteristic function by exact level counts.
+"""Scan the characteristic function, isolate its zeros by exact level counts.
 
 The characteristic function is a chain of discontinuous branches, so a
 sign change on a grid may be a zero or a pole.  ``Recurrence.levels_below``
 counts the levels below x exactly, from the signs of the recurrence's
 forward pivots, and that count alone isolates every level: a cell whose
 count rises by one holds exactly one (Sturm bisection; Barth, Martin &
-Wilkinson, 1967).  ``find_roots`` splits the cells of a grid on the
-count until each holds one level, narrows each to x_tol on the count,
-and only then evaluates char(x), to polish the root.  The count assumes
-a recurrence whose coefficients form a pencil of the shipped
-orientation (see ``Recurrence``); NumericsError is raised where it falls.
+Wilkinson, 1967).
 
-``scan`` tabulates char(x) for plotting: the grid plus the bracket of
-every level.  A cell changes sign once per zero and once per pole, so a
-sign change that the count does not account for (above all, one across
-a cell with no level) is a pole and ends a branch, as do explicit
-coefficient poles and PoleDetected points.
+``scan`` tabulates char(x) and the count on a grid.  A cell changes sign
+once per zero and once per pole, so a sign change that the count does
+not account for (above all, one across a cell with no level) is a pole
+and ends a branch, as do explicit coefficient poles and PoleDetected
+points.  ``find_roots`` splits the scan's cells on the count until each
+holds one level, narrows each to x_tol on the count, and only then
+evaluates char(x), to polish the root.  The count assumes a recurrence
+whose coefficients form a pencil of the shipped orientation (see
+``Recurrence``); NumericsError is raised where it falls.
 """
 
 from __future__ import annotations
@@ -38,6 +38,8 @@ _POLE_NUDGE = 1e-9
 #: window: two levels closer than that (degenerate, or of different
 #: sectors) stay in one cell
 _HALVING_FLOOR = 1e-12
+#: width to which ``scan`` narrows the cell of each level: the default x_tol
+_SCAN_X_TOL = 1e-10
 
 
 class RootKind(Enum):
@@ -47,15 +49,13 @@ class RootKind(Enum):
 
 @dataclass(frozen=True)
 class ScanResult:
-    """Tabulation of the characteristic function with level counts.
+    """Grid evaluation of the characteristic function with level counts.
 
-    ``xs`` are the nudged grid of ``find_roots`` at the same arguments
-    plus the bracket ends of every root it returns, so every level shows
-    as one narrow cell across which the count rises and char(x) changes
-    sign, unless a pole shares the cell.  ``counts[i]`` is the number of
-    levels below ``xs[i]``.
-    ``branch_ids`` are non-decreasing and increment across every cell
-    that holds an explicit coefficient pole, touches a PoleDetected
+    ``xs`` are the grid plus the ends of the cell of every level, and
+    ``counts[i]`` is the number of levels below ``xs[i]``, so the cells
+    hold the levels in [xs[0], xs[-1]); a level within rounding of an end
+    may fall on either side of it.  ``branch_ids`` are non-decreasing and
+    increment across every cell that holds an explicit coefficient pole, touches a PoleDetected
     point, or changes sign a number of times the count does not account
     for (a pole).
     """
@@ -64,6 +64,7 @@ class ScanResult:
     fs: list[CharEval]
     counts: np.ndarray
     branch_ids: np.ndarray
+    cfg: SeriesConfig
 
 
 @dataclass(frozen=True)
@@ -85,6 +86,8 @@ class Root:
     parity: int | None
     classification: RootKind
     note: str = ""
+
+
 @dataclass(frozen=True)
 class FlowResult:
     """Spectrum as a function of one swept model parameter.
@@ -113,17 +116,60 @@ def _evaluate(rec: Recurrence, x: float, cfg: SeriesConfig) -> CharEval:
         return CharEval(math.nan, 0, SeriesStatus.POLE, math.inf)
 
 
-def _grid(rec: Recurrence, x_lo: float, x_hi: float,
-          points: int) -> tuple[list[float], list[float]]:
-    """The ``points``-point grid over [x_lo, x_hi], with every point that
-    lies within 1e-9 of the window of an explicit coefficient pole moved
-    up by that much, and the sorted explicit poles of the window."""
+def _isolate(rec: Recurrence, xs: list[float], counts: list[int],
+             x_tol: float) -> list[tuple[float, float, int, int]]:
+    """The cells (lo, hi, count_lo, count_hi) that hold the levels counted
+    between consecutive ``xs``, in ascending order.
+
+    A cell holding several levels is halved on the count down to 1e-12 of
+    [xs[0], xs[-1]], and a cell holding one level down to x_tol.
+    NumericsError is raised where the count falls.
+    """
+    floor = _HALVING_FLOOR * (xs[-1] - xs[0])
+    stack = list(zip(xs, xs[1:], counts, counts[1:]))[::-1]
+    cells = []
+    while stack:
+        lo, hi, c_lo, c_hi = stack.pop()
+        rise = c_hi - c_lo
+        if rise < 0:
+            raise NumericsError(
+                f"level count falls from {c_lo} to {c_hi} across [{lo}, {hi}] "
+                f"in '{rec.label}': its coefficients are not a pencil of the "
+                "orientation the count assumes")
+        if rise == 0:
+            continue
+        mid = 0.5 * (lo + hi)
+        if hi - lo > (x_tol if rise == 1 else floor) and lo < mid < hi:
+            c_mid = rec.levels_below(mid)
+            stack += [(mid, hi, c_mid, c_hi), (lo, mid, c_lo, c_mid)]
+        else:
+            cells.append((lo, hi, c_lo, c_hi))
+    return cells
+
+
+def scan(rec: Recurrence, x_lo: float, x_hi: float, points: int,
+         cfg: SeriesConfig = DEFAULT_CONFIG) -> ScanResult:
+    """Evaluate char(x) and the level count on a grid over [x_lo, x_hi].
+
+    ``rec.levels_below`` must rise with x, as it does for a pencil of the
+    orientation ``Recurrence`` describes; NumericsError is raised where
+    the count falls instead of dropping the levels it would have held.
+    Grid points that coincide with explicit coefficient poles are
+    perturbed by 1e-9 of the window width.  The grid is counted in one
+    array call to ``rec.levels_below``, and each cell whose count rises
+    is halved on the count alone: a cell holding several levels down to
+    1e-12 of the window (two levels closer than that stay in one cell),
+    one holding one level down to 1e-10, across which char(x) then
+    changes sign unless a pole lies as close.  The ends of these cells
+    join the grid, and each returned x carries exactly one evaluation of
+    char(x).
+    """
     if not x_lo < x_hi:
         raise ValueError("x_lo must be < x_hi")
     if points < 16:
         raise ValueError("points must be >= 16")
     poles = sorted(rec.explicit_poles(x_lo, x_hi))
-    grid = list(np.linspace(x_lo, x_hi, points))
+    grid = np.linspace(x_lo, x_hi, points).tolist()
     if poles:
         nudge = _POLE_NUDGE * (x_hi - x_lo)
         for i, x in enumerate(grid):
@@ -132,7 +178,24 @@ def _grid(rec: Recurrence, x_lo: float, x_hi: float,
                         if 0 <= m < len(poles)), default=math.inf)
             if near < nudge:
                 grid[i] = x + nudge
-    return grid, poles
+
+    counts = rec.levels_below(np.asarray(grid)).tolist()
+    count_at = dict(zip(grid, counts))
+    for lo, hi, c_lo, c_hi in _isolate(rec, grid, counts, _SCAN_X_TOL):
+        count_at[lo], count_at[hi] = c_lo, c_hi
+    xs = sorted(count_at)
+    fs = [_evaluate(rec, x, cfg) for x in xs]
+    rows = list(zip(xs, fs))
+    branch_ids = [0]
+    for (xl, fl), (xr, fr) in zip(rows, rows[1:]):
+        converged = fl.status is fr.status is SeriesStatus.CONVERGED
+        odd = (count_at[xr] - count_at[xl]) % 2 == 1
+        ends_branch = (not converged or (fl.value * fr.value <= 0.0) != odd
+                       or _bisect.bisect_right(poles, xl) < _bisect.bisect_right(poles, xr))
+        branch_ids.append(branch_ids[-1] + ends_branch)
+    return ScanResult(xs=np.asarray(xs), fs=fs,
+                      counts=np.asarray([count_at[x] for x in xs]),
+                      branch_ids=np.asarray(branch_ids), cfg=cfg)
 
 
 def _polish(rec: Recurrence, lo: float, hi: float,
@@ -168,55 +231,32 @@ def _polish(rec: Recurrence, lo: float, hi: float,
     return best_x, best_f
 
 
-def find_roots(rec: Recurrence, x_lo: float, x_hi: float, points: int,
-               cfg: SeriesConfig = DEFAULT_CONFIG,
-               x_tol: float = 1e-10) -> list[Root]:
-    """Isolate every level in [x_lo, x_hi) by the count, then polish it.
+def find_roots(sr: ScanResult, rec: Recurrence, x_tol: float = 1e-10) -> list[Root]:
+    """Locate every level the scan's counts place in [xs[0], xs[-1]).
 
-    The grid of ``points`` points (moved 1e-9 of the window off explicit
-    coefficient poles) is counted in one array call to
-    ``rec.levels_below``.  The count must rise with x, as it does for a
-    pencil of the orientation ``Recurrence`` describes; NumericsError is
-    raised where it falls instead of dropping the levels it would have
-    held.  A cell whose count rises by more than one is halved on the
-    count until each part holds one level or is narrower than 1e-12 of
-    the window, and a cell holding one level is halved on to x_tol.
+    Each cell of the scan that holds one level is halved on the count
+    down to x_tol, if the scan left it wider (it narrows them to 1e-10).
     Only then is char(x) evaluated: up to three secant steps polish the
     bracket, and the point of smallest |char| is returned as a Zero with
     that residual.  A Zero within 10*x_tol of an explicit coefficient
     pole is returned as a PoleCrossing noted as a possible exceptional
     point, outside the regular spectrum.  A cell that still holds more
-    than one level at the floor (two levels, or levels of two sectors,
-    closer than that) is returned as one PoleCrossing whose note gives
-    the count, so no level is dropped silently.
+    than one level (closer than 1e-12 of the window) is returned as one
+    PoleCrossing whose note gives the count, so no level is dropped
+    silently.
     """
     if not 0.0 <= x_tol < math.inf:
         raise ValueError("x_tol must be finite and >= 0")
-    grid, poles = _grid(rec, x_lo, x_hi, points)
-    floor = _HALVING_FLOOR * (x_hi - x_lo)
-    counts = rec.levels_below(np.asarray(grid)).tolist()
-    stack = list(zip(grid, grid[1:], counts, counts[1:]))[::-1]
+    xs = sr.xs.tolist()
+    poles = sorted(rec.explicit_poles(xs[0], xs[-1]))
     roots: list[Root] = []
-    while stack:
-        lo, hi, c_lo, c_hi = stack.pop()
-        rise = c_hi - c_lo
-        if rise < 0:
-            raise NumericsError(
-                f"level count falls from {c_lo} to {c_hi} across [{lo}, {hi}] "
-                f"in '{rec.label}': its coefficients are not a pencil of the "
-                "orientation the count assumes")
-        if rise == 0:
-            continue
-        mid = 0.5 * (lo + hi)
-        if hi - lo > (x_tol if rise == 1 else floor) and lo < mid < hi:
-            c_mid = rec.levels_below(mid)
-            stack += [(mid, hi, c_mid, c_hi), (lo, mid, c_lo, c_mid)]
-            continue
-        if rise > 1:
-            x, f = mid, math.inf
-            kind, note = RootKind.POLE_CROSSING, f"unresolved count: {rise} levels in one cell"
+    for lo, hi, c_lo, c_hi in _isolate(rec, xs, sr.counts.tolist(), x_tol):
+        if c_hi - c_lo > 1:
+            x, f = 0.5 * (lo + hi), math.inf
+            kind = RootKind.POLE_CROSSING
+            note = f"unresolved count: {c_hi - c_lo} levels in one cell"
         else:
-            x, f = _polish(rec, lo, hi, cfg)
+            x, f = _polish(rec, lo, hi, sr.cfg)
             if any(abs(x - p) <= 10.0 * x_tol for p in poles):
                 kind, note = RootKind.POLE_CROSSING, "possible exceptional point"
             else:
@@ -227,42 +267,6 @@ def find_roots(rec: Recurrence, x_lo: float, x_hi: float, points: int,
     return roots
 
 
-def _sign_change(fl: CharEval, fr: CharEval) -> bool | None:
-    """Whether char(x) changes sign across a cell; None if an end failed."""
-    if (fl.status is not SeriesStatus.CONVERGED
-            or fr.status is not SeriesStatus.CONVERGED):
-        return None
-    return fl.value * fr.value <= 0.0
-
-
-def scan(rec: Recurrence, x_lo: float, x_hi: float, points: int,
-         cfg: SeriesConfig = DEFAULT_CONFIG) -> ScanResult:
-    """Tabulate char(x) and the level count over [x_lo, x_hi].
-
-    The rows are the grid of ``find_roots`` at the same arguments plus
-    the bracket ends of every root it returns, so each level lies in a
-    cell no wider than the default x_tol.  ``find_roots`` raises the
-    errors (ValueError for a bad window, NumericsError where the count
-    falls).  The rows are counted in one array call to
-    ``rec.levels_below``, and each carries exactly one evaluation of
-    char(x).
-    """
-    grid, poles = _grid(rec, x_lo, x_hi, points)
-    ends = [x for r in find_roots(rec, x_lo, x_hi, points, cfg) for x in r.bracket]
-    xs = np.asarray(sorted(set(grid).union(ends)))
-    counts = rec.levels_below(xs).tolist()
-    fs = [_evaluate(rec, x, cfg) for x in xs.tolist()]
-    branch_ids = [0]
-    for i in range(1, len(xs)):
-        sc = _sign_change(fs[i - 1], fs[i])
-        ends_branch = (sc is None or sc != ((counts[i] - counts[i - 1]) % 2 == 1)
-                       or _bisect.bisect_right(poles, xs[i - 1])
-                       < _bisect.bisect_right(poles, xs[i]))
-        branch_ids.append(branch_ids[-1] + ends_branch)
-    return ScanResult(xs=xs, fs=fs, counts=np.asarray(counts),
-                      branch_ids=np.asarray(branch_ids))
-
-
 _PARITY_ORDER = {1: 0, -1: 1, None: 2}
 
 
@@ -270,10 +274,10 @@ def resolve_spectrum(model: str, params, window: tuple[float, float],
                      cfg: SeriesConfig = DEFAULT_CONFIG, *,
                      parity: str = "both", points: int = 4000,
                      x_tol: float = 1e-10) -> list[Root]:
-    """Find and polish the levels of one model in the energy window
-    [e_lo, e_hi) (units of omega).
+    """Scan and refine one model over the energy window [e_lo, e_hi)
+    (units of omega).
 
-    For the parity-resolved model both branches are solved and merged
+    For the parity-resolved model both branches are scanned and merged
     into one ascending-energy list carrying parity labels; single-
     recurrence models carry parity None.
     """
@@ -282,8 +286,8 @@ def resolve_spectrum(model: str, params, window: tuple[float, float],
         raise ValueError("window must satisfy e_lo < e_hi")
     merged: list[Root] = []
     for rec, label in recurrences_for(model, params, parity=parity):
-        for root in find_roots(rec, rec.x_of(e_lo), rec.x_of(e_hi), points,
-                               cfg, x_tol=x_tol):
+        sr = scan(rec, rec.x_of(e_lo), rec.x_of(e_hi), points, cfg)
+        for root in find_roots(sr, rec, x_tol=x_tol):
             merged.append(replace(root, parity=label))
     merged.sort(key=lambda r: (r.energy, _PARITY_ORDER[r.parity]))
     return merged

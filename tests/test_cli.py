@@ -193,15 +193,21 @@ class TestFlowCommand:
     ("--rel-tol", "nan", "rel_tol must be positive"),
     ("--rel-tol", "inf", "rel_tol must be positive"),
     ("--max-terms", "0", "max_terms must be >= 1"),
-    ("--x-tol", "nan", "--x-tol must be finite"),
-    ("--x-tol", "inf", "--x-tol must be finite"),
-    ("--x-tol", "-1e-10", "--x-tol must be finite"),
 ])
 def test_bad_series_options_rejected(runner, command, flag, value, message):
     res = runner.invoke(cli, command + ["--model", "dho", "--kappa", "0.7",
                                         flag, value])
     assert res.exit_code == 2
     assert message in res.output
+
+
+@pytest.mark.parametrize("command", [["roots"], ["flow", "--sweep", "kappa:0.5:1:3"]])
+@pytest.mark.parametrize("value", ["nan", "inf", "-1e-10"])
+def test_bad_x_tol_rejected(runner, command, value):
+    res = runner.invoke(cli, command + ["--model", "dho", "--kappa", "0.7",
+                                        "--x-tol", value])
+    assert res.exit_code == 2
+    assert "--x-tol must be finite and >= 0" in res.output
 
 
 class TestValidateCommand:

@@ -93,7 +93,7 @@ class TestScan:
         assert int(sr.branch_ids[-1]) == 0
         assert all(f.status is SeriesStatus.CONVERGED for f in sr.fs)
         assert all(f.value > 0.9 for f in sr.fs)
-        assert find_roots(rec, -1.0, 1.0, 200, CFG) == []
+        assert find_roots(sr, rec) == []
 
     def test_displaced_rabi_boundaries_at_explicit_poles(self):
         rec = rabi_displaced_recurrence(RabiParams(0.7, 0.4))
@@ -120,12 +120,12 @@ class TestScan:
     def test_grid_counts_equal_scalar_counts(self, rec, x_lo, x_hi, points):
         sr = scan(rec, x_lo, x_hi, points, CFG)
         assert sr.counts.tolist() == [rec.levels_below(float(x)) for x in sr.xs]
-        # the rows are the nudged grid plus every root's bracket ends
+        # the rows are the nudged grid plus the bracket ends of every root
         nudge = 1e-9 * (x_hi - x_lo)
         poles = rec.explicit_poles(x_lo, x_hi)
         grid = [x + nudge if any(abs(x - p) < nudge for p in poles) else x
                 for x in np.linspace(x_lo, x_hi, points).tolist()]
-        ends = [x for r in find_roots(rec, x_lo, x_hi, points, CFG) for x in r.bracket]
+        ends = [x for r in find_roots(sr, rec) for x in r.bracket]
         assert sr.xs.tolist() == sorted(set(grid + ends))
 
     def test_falling_count_raises(self):
@@ -142,7 +142,8 @@ class TestScan:
 class TestFindRoots:
     def test_dho_exact_levels(self):
         rec = dho_recurrence(DhoParams(0.7))
-        roots = find_roots(rec, -1.0, 6.0, 4000, CFG)
+        sr = scan(rec, -1.0, 6.0, 4000, CFG)
+        roots = find_roots(sr, rec)
         zeros = zeros_of(roots)
         assert len(zeros) == 7
         for l, root in enumerate(zeros):
@@ -152,25 +153,29 @@ class TestFindRoots:
 
     def test_no_pole_misclassified_as_zero(self):
         rec = dho_recurrence(DhoParams(0.7))
+        sr = scan(rec, -1.0, 6.0, 4000, CFG)
         exact = dho_exact_levels(DhoParams(0.7), 6)
-        for root in zeros_of(find_roots(rec, -1.0, 6.0, 4000, CFG)):
+        for root in zeros_of(find_roots(sr, rec)):
             assert min(abs(root.x - e) for e in exact) < 1e-8
 
     def test_parity_rabi_quoted_zeros(self):
         for parity, expected, tol in (("minus", -0.707805, 1e-4),
                                       ("plus", -0.4270437, 1e-5)):
             rec = parity_rabi_recurrence(ParityRabiParams(0.7, 0.4, 1.0, parity))
-            zeros = zeros_of(find_roots(rec, -1.0, 1.0, 1500, CFG, x_tol=1e-12))
+            sr = scan(rec, -1.0, 1.0, 1500, CFG)
+            zeros = zeros_of(find_roots(sr, rec, x_tol=1e-12))
             assert any(abs(r.x - expected) < tol for r in zeros)
 
     def test_exceptional_point_guard(self):
         # a pole abscissa declared within 10*x_tol of a refined zero must
-        # demote it to PoleCrossing with a note
+        # demote it to PoleCrossing with a note; scan with the clean
+        # recurrence so the candidate actually reaches bisection
         base = dho_recurrence(DhoParams(0.7))
         planted = Recurrence(a=base.a, b=base.b, profile=base.profile,
                              explicit_poles=lambda lo, hi: [0.51],
                              label="planted")
-        roots = find_roots(planted, 0.4, 0.6, 64, CFG)
+        sr = scan(base, 0.4, 0.6, 64, CFG)
+        roots = find_roots(sr, planted)
         assert zeros_of(roots) == []
         flagged = [r for r in pole_crossings_of(roots)
                    if "exceptional" in r.note]
@@ -184,7 +189,8 @@ class TestFindRoots:
         dho = dho_recurrence(DhoParams(0.7))
         doubled = Recurrence(a=dho.a, b=dho.b, profile=dho.profile,
                              sectors=(dho, dho), label="doubled")
-        roots = find_roots(doubled, -1.0, 2.0, 300, CFG)
+        sr = scan(doubled, -1.0, 2.0, 300, CFG)
+        roots = find_roots(sr, doubled)
         assert zeros_of(roots) == []
         assert len(roots) == 3
         for root, level in zip(roots, dho_exact_levels(DhoParams(0.7), 2)):
@@ -199,31 +205,66 @@ class TestFindRoots:
         assert [r.energy for r in zeros] == pytest.approx(
             dho_exact_levels(p, 6), abs=1e-8)
 
+    def test_brackets_narrowed_to_finer_x_tol(self):
+        # scan narrows the cell of each level to 1e-10; find_roots halves
+        # it on to a finer x_tol
+        rec = dho_recurrence(DhoParams(0.7))
+        sr = scan(rec, -1.0, 6.0, 400, CFG)
+        exact = dho_exact_levels(DhoParams(0.7), 6)
+        for x_tol in (1e-10, 1e-13):
+            roots = find_roots(sr, rec, x_tol=x_tol)
+            assert len(roots) == len(exact)
+            for root, level in zip(roots, exact):
+                assert root.bracket[1] - root.bracket[0] <= x_tol
+                assert root.bracket[0] <= level <= root.bracket[1]
+
+    @pytest.mark.parametrize("x_tol", [math.nan, math.inf, -1e-10])
+    def test_bad_x_tol_rejected(self, x_tol):
+        rec = dho_recurrence(DhoParams(0.7))
+        sr = scan(rec, -1.0, 2.0, 64, CFG)
+        with pytest.raises(ValueError, match="x_tol"):
+            find_roots(sr, rec, x_tol=x_tol)
+
 
 class TestResolveSpectrum:
     @pytest.mark.parametrize("model, params, window", [
         ("dho", DhoParams(0.7), (-1.0, 6.0)),
         ("rabi-parity", RabiParams(1.5, 0.7), (-3.0, 8.0)),
     ])
-    def test_char_evaluated_only_to_polish(self, monkeypatch, model, params, window):
+    def test_char_evaluated_on_scan_rows_and_to_polish(self, monkeypatch, model,
+                                                       params, window):
+        # every char(x) of a solve is made under exactly one of scan and
+        # find_roots: one per scan row (the grid plus at most two bracket
+        # ends per level) and at most five per level in find_roots (two
+        # ends and three secant steps)
         import ttrspec.spectrum as spectrum
 
-        calls = []
+        layers = (spectrum.scan.__code__, spectrum.find_roots.__code__)
+        callers, rows = [], []
+        traced_scan = spectrum.scan
 
         def counting(*args, **kwargs):
-            frames = []
+            codes = set()
             frame = sys._getframe(1)
             while frame is not None:
-                frames.append(frame.f_code)
+                codes.add(frame.f_code)
                 frame = frame.f_back
-            calls.append(spectrum.find_roots.__code__ in frames)
+            callers.append(tuple(c for c in layers if c in codes))
             return char_series(*args, **kwargs)
 
+        def recording_scan(*args, **kwargs):
+            sr = traced_scan(*args, **kwargs)
+            rows.append(len(sr.xs))
+            return sr
+
         monkeypatch.setattr(spectrum, "char_series", counting)
+        monkeypatch.setattr(spectrum, "scan", recording_scan)
         roots = resolve_spectrum(model, params, window, CFG, points=4000)
         assert roots
-        assert len(calls) <= 5 * len(roots)
-        assert all(calls)
+        assert all(len(c) == 1 for c in callers)
+        assert callers.count(layers[:1]) == sum(rows)
+        assert sum(rows) <= 4000 * len(rows) + 2 * len(roots)
+        assert len(callers) - sum(rows) <= 5 * len(roots)
 
     def test_dho_energies(self):
         roots = zeros_of(resolve_spectrum("dho", DhoParams(0.7), (-1.0, 6.0),
