@@ -27,7 +27,6 @@ from .models import (
     DhoParams,
     GenRabiParams,
     JcParams,
-    ParityRabiParams,
     RabiParams,
     bessel_fixture,
     dho_exact_levels,
@@ -81,7 +80,6 @@ __all__ = [
     "NonConvergenceError",
     "NumericsError",
     "OracleSpectrum",
-    "ParityRabiParams",
     "RabiParams",
     "Recurrence",
     "Root",

@@ -36,10 +36,8 @@ from .models import (
     ORACLE_ONLY_MODELS,
     RECURRENCE_MODELS,
     DhoParams,
-    GenRabiParams,
-    JcParams,
-    ParityRabiParams,
     RabiParams,
+    recurrences_for,
 )
 from .spectrum import flow as run_flow
 from .spectrum import resolve_spectrum, scan as run_scan
@@ -52,30 +50,13 @@ def _fmt(v: float) -> str:
     return format(v, ".17g")
 
 
-def _params_for(model, kappa, delta, theta, omega, parity=None):
-    if kappa is None and model != "jc":
+def _params_for(model, kappa, delta):
+    if kappa is None:
         raise click.UsageError(f"--kappa is required for model '{model}'")
     try:
-        if model == "dho":
-            return DhoParams(kappa=kappa, omega=omega)
-        if model in ("rabi", "rabi-modified"):
-            return RabiParams(kappa=kappa, delta=delta, omega=omega)
-        if model == "rabi-parity":
-            if parity in ("plus", "minus"):
-                return ParityRabiParams(kappa=kappa, delta=delta,
-                                        omega=omega, parity=parity)
-            return RabiParams(kappa=kappa, delta=delta, omega=omega)
-        if model == "gen-rabi":
-            return GenRabiParams(kappa=kappa, delta=delta, omega=omega,
-                                 theta=theta)
-        if model == "jc":
-            if kappa is None:
-                raise click.UsageError("--kappa (coupling/omega) is required")
-            return JcParams(omega=omega, omega0=2.0 * delta * omega,
-                            lam=kappa * omega)
+        return DhoParams(kappa) if model == "dho" else RabiParams(kappa, delta)
     except ValueError as exc:
         raise click.UsageError(str(exc)) from exc
-    raise click.UsageError(f"unknown model '{model}'")
 
 
 def _require_recurrence(model):
@@ -103,10 +84,6 @@ def _series_config(rel_tol, max_terms) -> SeriesConfig:
         raise click.UsageError(str(exc)) from exc
 
 
-def _params_dict(params) -> dict:
-    return {k: v for k, v in dataclasses.asdict(params).items()}
-
-
 def _write(text: str, out: str | None):
     if out:
         with open(out, "w") as fh:
@@ -122,7 +99,7 @@ def _parity_str(p) -> str:
 def _roots_payload(model, params, roots) -> dict:
     return {
         "model": model,
-        "params": _params_dict(params),
+        "params": dataclasses.asdict(params),
         "roots": [
             {
                 "x": r.x,
@@ -145,10 +122,6 @@ def _model_options(fn):
                      help="Coupling / omega."),
         click.option("--delta", type=float, default=0.0,
                      help="Level splitting / omega."),
-        click.option("--theta", type=float, default=0.0,
-                     help="Deformation / omega (gen-rabi only)."),
-        click.option("--omega", type=float, default=1.0,
-                     help="Mode frequency (default 1)."),
         click.option("--parity", type=click.Choice(["plus", "minus", "both"]),
                      default="both", show_default=True),
     ]
@@ -185,7 +158,7 @@ def cli():
 @click.option("--out", type=click.Path(), default=None, help="Output path (default stdout).")
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv",
               show_default=True)
-def scan(model, kappa, delta, theta, omega, parity, rel_tol, max_terms,
+def scan(model, kappa, delta, parity, rel_tol, max_terms,
          points, x_min, x_max, out, fmt):
     """Tabulate the characteristic function over an energy window."""
     _require_recurrence(model)
@@ -193,10 +166,8 @@ def scan(model, kappa, delta, theta, omega, parity, rel_tol, max_terms,
     if model == "rabi-parity" and parity == "both":
         raise click.UsageError(
             "scan writes a single F column; choose --parity plus or minus")
-    params = _params_for(model, kappa, delta, theta, omega, parity)
+    params = _params_for(model, kappa, delta)
     cfg = _series_config(rel_tol, max_terms)
-    from .models import recurrences_for
-
     rec, _ = recurrences_for(model, params, parity=parity)[0]
     try:
         sr = run_scan(rec, rec.x_of(x_min), rec.x_of(x_max), points, cfg)
@@ -212,7 +183,7 @@ def scan(model, kappa, delta, theta, omega, parity, rel_tol, max_terms,
     else:
         payload = {
             "model": model,
-            "params": _params_dict(params),
+            "params": dataclasses.asdict(params),
             "points": [
                 {"x": float(x), "F": ev.value, "status": ev.status.value,
                  "branch_id": int(bid)}
@@ -229,13 +200,12 @@ def scan(model, kappa, delta, theta, omega, parity, rel_tol, max_terms,
 @click.option("--out", type=click.Path(), default=None, help="Output path (default stdout).")
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json",
               show_default=True)
-def roots(model, kappa, delta, theta, omega, parity, rel_tol, max_terms,
+def roots(model, kappa, delta, parity, rel_tol, max_terms,
           x_tol, points, x_min, x_max, out, fmt):
     """Refine and classify the zeros inside an energy window."""
     _require_recurrence(model)
     _check_window(x_min, x_max, points, x_tol)
-    params = _params_for(model, kappa, delta, theta, omega,
-                         parity if parity != "both" else None)
+    params = _params_for(model, kappa, delta)
     cfg = _series_config(rel_tol, max_terms)
     try:
         found = resolve_spectrum(model, params, (x_min, x_max), cfg,
@@ -264,7 +234,7 @@ def roots(model, kappa, delta, theta, omega, parity, rel_tol, max_terms,
 @click.option("--out", type=click.Path(), default=None, help="Output path (default stdout).")
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv",
               show_default=True)
-def flow(model, kappa, delta, theta, omega, parity, rel_tol, max_terms,
+def flow(model, kappa, delta, parity, rel_tol, max_terms,
          x_tol, points, x_min, x_max, sweep, out, fmt):
     """Track the spectrum along a one-parameter sweep."""
     _require_recurrence(model)
@@ -280,12 +250,9 @@ def flow(model, kappa, delta, theta, omega, parity, rel_tol, max_terms,
         raise click.UsageError(f"bad --sweep values: {exc}") from exc
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise click.UsageError("--sweep bounds must be finite")
-    if name not in ("delta", "kappa", "theta", "omega"):
-        raise click.UsageError("sweep parameter must be one of "
-                               "delta, kappa, theta, omega")
-    params = _params_for(model, kappa if kappa is not None else 1.0,
-                         delta, theta, omega,
-                         parity if parity != "both" else None)
+    if name not in ("delta", "kappa"):
+        raise click.UsageError("sweep parameter must be delta or kappa")
+    params = _params_for(model, kappa if kappa is not None else 1.0, delta)
     if not hasattr(params, name):
         raise click.UsageError(
             f"'{name}' is not a parameter of model '{model}'")
@@ -315,7 +282,7 @@ def flow(model, kappa, delta, theta, omega, parity, rel_tol, max_terms,
     else:
         payload = {
             "model": model,
-            "params": _params_dict(params),
+            "params": dataclasses.asdict(params),
             "sweep": {"name": name, "lo": lo, "hi": hi, "steps": steps},
             "tracks": [
                 {

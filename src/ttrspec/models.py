@@ -2,8 +2,9 @@
 
 Each constructor returns an immutable Recurrence whose energy_shift
 records the model's x <-> E/omega convention, so downstream code never
-hard-codes it.  kappa = lambda/omega and delta = mu/omega are the
-dimensionless coupling and level splitting.
+hard-codes it.  The parameter records hold only the dimensionless
+coupling kappa = lambda/omega and level splitting delta = mu/omega
+(plus the gen-rabi bias theta): omega is the unit of energy.
 """
 
 from __future__ import annotations
@@ -32,42 +33,23 @@ def _check_coupling(kappa: float, delta: float = 0.0) -> None:
 
 @dataclass(frozen=True)
 class DhoParams:
-    """Displaced harmonic oscillator: coupling kappa, frequency omega."""
+    """Displaced harmonic oscillator: coupling kappa."""
 
     kappa: float
-    omega: float = 1.0
 
     def __post_init__(self):
         _check_coupling(self.kappa)
-        if self.omega <= 0:
-            raise ValueError("omega must be positive")
 
 
 @dataclass(frozen=True)
 class RabiParams:
+    """Rabi model: ``rabi``, ``rabi-parity`` and ``rabi-modified``."""
+
     kappa: float
     delta: float = 0.0
-    omega: float = 1.0
 
     def __post_init__(self):
         _check_coupling(self.kappa, self.delta)
-        if self.omega <= 0:
-            raise ValueError("omega must be positive")
-
-
-@dataclass(frozen=True)
-class ParityRabiParams:
-    kappa: float
-    delta: float = 0.0
-    omega: float = 1.0
-    parity: str = PARITY_PLUS
-
-    def __post_init__(self):
-        _check_coupling(self.kappa, self.delta)
-        if self.omega <= 0:
-            raise ValueError("omega must be positive")
-        if self.parity not in (PARITY_PLUS, PARITY_MINUS):
-            raise ValueError("parity must be 'plus' or 'minus'")
 
 
 @dataclass(frozen=True)
@@ -76,26 +58,18 @@ class GenRabiParams:
 
     kappa: float
     delta: float = 0.0
-    omega: float = 1.0
     theta: float = 0.0
 
     def __post_init__(self):
         _check_coupling(self.kappa, self.delta)
-        if self.omega <= 0:
-            raise ValueError("omega must be positive")
 
 
 @dataclass(frozen=True)
 class JcParams:
-    """Rotating-wave model: omega0 is the two-level splitting (mu = omega0/2)."""
+    """Rotating-wave model: coupling kappa (0 allowed), splitting delta."""
 
-    omega: float
-    omega0: float
-    lam: float
-
-    def __post_init__(self):
-        if self.omega <= 0:
-            raise ValueError("omega must be positive")
+    kappa: float
+    delta: float
 
 
 def dho_recurrence(p: DhoParams) -> Recurrence:
@@ -155,16 +129,15 @@ def rabi_displaced_recurrence(p: RabiParams) -> Recurrence:
         return [float(n) for n in range(n0, n1 + 1)]
 
     sectors = () if delta == 0.0 else tuple(
-        parity_rabi_recurrence(ParityRabiParams(kappa, delta, p.omega, parity))
-        for parity in (PARITY_PLUS, PARITY_MINUS))
+        parity_rabi_recurrence(p, parity) for parity in (PARITY_PLUS, PARITY_MINUS))
     profile = AsymptoticProfile(delta=0.0, upsilon=-1.0,
                                 a_coef=-1.0 / (2.0 * kappa), b_coef=1.0)
     return Recurrence(a=a, b=b, profile=profile, explicit_poles=poles,
                       energy_shift=kappa * kappa, label="rabi", sectors=sectors)
 
 
-def parity_rabi_recurrence(p: ParityRabiParams) -> Recurrence:
-    """Parity-resolved Rabi recurrence, x = E/omega.
+def parity_rabi_recurrence(p: RabiParams, parity: str) -> Recurrence:
+    """Parity-resolved Rabi recurrence of sector ``parity``, x = E/omega.
 
     c_{n+1} + [n - x +/- (-1)**n delta]/(kappa (n+1)) c_n
             + 1/(n+1) c_{n-1} = 0,
@@ -173,8 +146,10 @@ def parity_rabi_recurrence(p: ParityRabiParams) -> Recurrence:
     symmetry; at delta = 0 both reduce to the displaced-oscillator
     recurrence.
     """
+    if parity not in (PARITY_PLUS, PARITY_MINUS):
+        raise ValueError("parity must be 'plus' or 'minus'")
     kappa, delta = p.kappa, p.delta
-    s = 1.0 if p.parity == PARITY_PLUS else -1.0
+    s = 1.0 if parity == PARITY_PLUS else -1.0
 
     def a(n: int, x: float) -> float:
         signed = s * delta if n % 2 == 0 else -s * delta
@@ -186,26 +161,24 @@ def parity_rabi_recurrence(p: ParityRabiParams) -> Recurrence:
     profile = AsymptoticProfile(delta=0.0, upsilon=-1.0,
                                 a_coef=1.0 / kappa, b_coef=1.0)
     return Recurrence(a=a, b=b, profile=profile,
-                      label=f"rabi-parity-{p.parity}")
+                      label=f"rabi-parity-{parity}")
 
 
 def jc_exact_levels(p: JcParams, n_max: int) -> list[float]:
-    """Dressed-state levels in units of omega, sorted ascending.
+    """Dressed-state levels E/omega, sorted ascending.
 
-    The uncoupled level -mu plus, for n = 0..n_max, the pair
-    omega(n + 1/2) +/- sqrt((mu - omega/2)**2 + lam**2 (n+1)) with
-    mu = omega0/2.
+    The uncoupled level -delta plus, for n = 0..n_max, the pair
+    n + 1/2 +/- sqrt((delta - 1/2)**2 + kappa**2 (n+1)).
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    mu = 0.5 * p.omega0
-    levels = [-mu]
+    levels = [-p.delta]
     for n in range(n_max + 1):
-        mid = p.omega * (n + 0.5)
-        split = math.sqrt((mu - 0.5 * p.omega) ** 2 + p.lam * p.lam * (n + 1))
+        mid = n + 0.5
+        split = math.sqrt((p.delta - 0.5) ** 2 + p.kappa * p.kappa * (n + 1))
         levels.append(mid + split)
         levels.append(mid - split)
-    return sorted(v / p.omega for v in levels)
+    return sorted(levels)
 
 
 def bessel_fixture(x: float) -> Recurrence:
@@ -231,25 +204,21 @@ def bessel_fixture(x: float) -> Recurrence:
 
 
 def recurrences_for(model: str, params, parity: str = "both"):
-    """Recurrence branches (rec, parity_label) for an F-based model tag."""
+    """Recurrence branches (rec, parity_label) for an F-based model tag.
+
+    ``parity`` selects the sectors of ``rabi-parity`` and must be
+    'plus', 'minus' or 'both' for every model.
+    """
+    if parity not in (PARITY_PLUS, PARITY_MINUS, "both"):
+        raise ValueError("parity must be 'plus', 'minus' or 'both'")
     if model == "dho":
         return [(dho_recurrence(params), None)]
     if model == "rabi":
         return [(rabi_displaced_recurrence(params), None)]
     if model == "rabi-parity":
-        if isinstance(params, ParityRabiParams):
-            label = 1 if params.parity == PARITY_PLUS else -1
-            return [(parity_rabi_recurrence(params), label)]
-        branches = []
-        if parity in (PARITY_PLUS, "both"):
-            branches.append((parity_rabi_recurrence(ParityRabiParams(
-                params.kappa, params.delta, params.omega, PARITY_PLUS)), 1))
-        if parity in (PARITY_MINUS, "both"):
-            branches.append((parity_rabi_recurrence(ParityRabiParams(
-                params.kappa, params.delta, params.omega, PARITY_MINUS)), -1))
-        if not branches:
-            raise ValueError("parity must be 'plus', 'minus' or 'both'")
-        return branches
+        return [(parity_rabi_recurrence(params, sector), label)
+                for sector, label in ((PARITY_PLUS, 1), (PARITY_MINUS, -1))
+                if parity in (sector, "both")]
     raise ValueError(
         f"model '{model}' does not define recurrence coefficients; "
         "only the diagonalization oracle applies")

@@ -57,25 +57,23 @@ class OracleSpectrum:
 
 
 def _dho_matrix(p: DhoParams, cutoff: int) -> np.ndarray:
-    lam = p.kappa * p.omega
     h = np.zeros((cutoff, cutoff))
     for n in range(cutoff):
-        h[n, n] = p.omega * n
+        h[n, n] = n
         if n + 1 < cutoff:
-            c = lam * math.sqrt(n + 1)
+            c = p.kappa * math.sqrt(n + 1)
             h[n, n + 1] = c
             h[n + 1, n] = c
     return h
 
 
 def _rabi_matrix(p: RabiParams, cutoff: int) -> np.ndarray:
-    lam, mu = p.kappa * p.omega, p.delta * p.omega
     h = np.zeros((2 * cutoff, 2 * cutoff))
     for n in range(cutoff):
-        h[2 * n, 2 * n] = p.omega * n + mu
-        h[2 * n + 1, 2 * n + 1] = p.omega * n - mu
+        h[2 * n, 2 * n] = n + p.delta
+        h[2 * n + 1, 2 * n + 1] = n - p.delta
         if n + 1 < cutoff:
-            c = lam * math.sqrt(n + 1)
+            c = p.kappa * math.sqrt(n + 1)
             for s in (0, 1):
                 i, j = 2 * n + s, 2 * (n + 1) + (1 - s)
                 h[i, j] = c
@@ -84,13 +82,12 @@ def _rabi_matrix(p: RabiParams, cutoff: int) -> np.ndarray:
 
 
 def _jc_matrix(p: JcParams, cutoff: int) -> np.ndarray:
-    mu = 0.5 * p.omega0
     h = np.zeros((2 * cutoff, 2 * cutoff))
     for n in range(cutoff):
-        h[2 * n, 2 * n] = p.omega * n + mu
-        h[2 * n + 1, 2 * n + 1] = p.omega * n - mu
+        h[2 * n, 2 * n] = n + p.delta
+        h[2 * n + 1, 2 * n + 1] = n - p.delta
         if n + 1 < cutoff:
-            c = p.lam * math.sqrt(n + 1)
+            c = p.kappa * math.sqrt(n + 1)
             i, j = 2 * n, 2 * (n + 1) + 1
             h[i, j] = c
             h[j, i] = c
@@ -98,16 +95,15 @@ def _jc_matrix(p: JcParams, cutoff: int) -> np.ndarray:
 
 
 def _gen_rabi_matrix(p: GenRabiParams, cutoff: int) -> np.ndarray:
-    # spin-boson form: omega n + lam sigma3 (a^+ + a) + theta sigma3 + mu sigma1
-    lam, mu, th = p.kappa * p.omega, p.delta * p.omega, p.theta * p.omega
+    # spin-boson form: n + kappa sigma3 (a^+ + a) + theta sigma3 + delta sigma1
     h = np.zeros((2 * cutoff, 2 * cutoff))
     for n in range(cutoff):
-        h[2 * n, 2 * n] = p.omega * n + th
-        h[2 * n + 1, 2 * n + 1] = p.omega * n - th
-        h[2 * n, 2 * n + 1] = mu
-        h[2 * n + 1, 2 * n] = mu
+        h[2 * n, 2 * n] = n + p.theta
+        h[2 * n + 1, 2 * n + 1] = n - p.theta
+        h[2 * n, 2 * n + 1] = p.delta
+        h[2 * n + 1, 2 * n] = p.delta
         if n + 1 < cutoff:
-            c = lam * math.sqrt(n + 1)
+            c = p.kappa * math.sqrt(n + 1)
             for s, sign in ((0, 1.0), (1, -1.0)):
                 i, j = 2 * n + s, 2 * (n + 1) + s
                 h[i, j] = sign * c
@@ -116,16 +112,15 @@ def _gen_rabi_matrix(p: GenRabiParams, cutoff: int) -> np.ndarray:
 
 
 def _modified_rabi_matrix(p: RabiParams, cutoff: int) -> np.ndarray:
-    # plane-wave coupling i lam sigma1 (a^+ - a); the phase rotation
+    # plane-wave coupling i kappa sigma1 (a^+ - a); the phase rotation
     # |n> -> i**n |n> turns it into the standard real coupling.
-    lam, mu = p.kappa * p.omega, p.delta * p.omega
     d = 2 * cutoff
     hc = np.zeros((d, d), dtype=complex)
     for n in range(cutoff):
-        hc[2 * n, 2 * n] = p.omega * n + mu
-        hc[2 * n + 1, 2 * n + 1] = p.omega * n - mu
+        hc[2 * n, 2 * n] = n + p.delta
+        hc[2 * n + 1, 2 * n + 1] = n - p.delta
         if n + 1 < cutoff:
-            c = lam * math.sqrt(n + 1)
+            c = p.kappa * math.sqrt(n + 1)
             for s in (0, 1):
                 i, j = 2 * (n + 1) + (1 - s), 2 * n + s
                 hc[i, j] = 1j * c
@@ -201,13 +196,11 @@ def eigen_lowest(h: TruncatedHamiltonian, k: int, tol: float = 1e-8) -> OracleSp
         raise ValueError("k must be >= 1")
     if k > h.dimension // 4:
         raise ValueError("k must be <= dimension/4; raise the cutoff")
-    omega = h.params.omega
     cur = h
     vals_prev = None
     vals = None
     for step in range(4):
-        raw, vecs = np.linalg.eigh(cur.entries)
-        vals = raw / omega
+        vals, vecs = np.linalg.eigh(cur.entries)
         if vals_prev is not None:
             moved = float(np.max(np.abs(vals[:k] - vals_prev[:k])))
             if moved < tol:

@@ -18,7 +18,6 @@ from .models import (
     DhoParams,
     GenRabiParams,
     JcParams,
-    ParityRabiParams,
     RabiParams,
     bessel_fixture,
     dho_exact_levels,
@@ -110,7 +109,7 @@ def _check_series_cf_identity(cfg: SeriesConfig) -> CheckResult:
         (dho_recurrence(DhoParams(0.7)), np.linspace(-0.95, 5.95, 200)),
         (rabi_displaced_recurrence(RabiParams(0.7, 0.4)),
          np.linspace(-0.45, 1.43, 200)),
-        (parity_rabi_recurrence(ParityRabiParams(0.7, 0.4, 1.0, "plus")),
+        (parity_rabi_recurrence(RabiParams(0.7, 0.4), "plus"),
          np.linspace(-0.95, 3.95, 200)),
     ]
     worst = 0.0
@@ -132,7 +131,7 @@ def _check_series_cf_identity(cfg: SeriesConfig) -> CheckResult:
 
 
 def _check_jc(cfg: SeriesConfig) -> CheckResult:
-    p = JcParams(omega=1.0, omega0=0.9, lam=0.25)
+    p = JcParams(kappa=0.25, delta=0.45)
     exact = jc_exact_levels(p, 12)
     spectrum = eigen_lowest(build_hamiltonian("jc", p, 64), 10, 1e-10)
     worst = max(abs(a - b) for a, b in zip(spectrum.eigenvalues, exact[:10]))
@@ -197,10 +196,9 @@ def _check_minimal_decay(cfg: SeriesConfig) -> CheckResult:
     checks = []
     rec = dho_recurrence(DhoParams(kappa))
     checks.append(abs(minimal_ratios(rec, 0.51, 200)[200]) * 200)
-    prec = parity_rabi_recurrence(ParityRabiParams(kappa, 0.4, 1.0, "plus"))
-    zp = _zeros(resolve_spectrum("rabi-parity",
-                                 ParityRabiParams(kappa, 0.4, 1.0, "plus"),
-                                 (-1.0, 0.0), cfg, points=600))
+    prec = parity_rabi_recurrence(RabiParams(kappa, 0.4), "plus")
+    zp = _zeros(resolve_spectrum("rabi-parity", RabiParams(kappa, 0.4),
+                                 (-1.0, 0.0), cfg, parity="plus", points=600))
     checks.append(abs(minimal_ratios(prec, zp[0].x, 200)[200]) * 200)
     ok = all(abs(c - kappa) < 0.1 * kappa for c in checks)
     return CheckResult("minimal-solution-decay", ok,

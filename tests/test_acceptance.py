@@ -15,7 +15,6 @@ from conftest import zeros_of
 from ttrspec import (
     AsymptoticProfile,
     DhoParams,
-    ParityRabiParams,
     RabiParams,
     Recurrence,
     SeriesConfig,
@@ -115,9 +114,9 @@ def test_criterion_4_series_cf_identity():
     cases = [
         ("dho", dho_recurrence(DhoParams(0.7)), (-1.0, 6.0)),
         ("rabi", rabi_displaced_recurrence(RabiParams(0.7, 0.4)), (-0.5, 1.45)),
-        ("parity+", parity_rabi_recurrence(ParityRabiParams(0.7, 0.4, 1.0, "plus")),
+        ("parity+", parity_rabi_recurrence(RabiParams(0.7, 0.4), "plus"),
          (-1.0, 4.0)),
-        ("parity-", parity_rabi_recurrence(ParityRabiParams(0.7, 0.4, 1.0, "minus")),
+        ("parity-", parity_rabi_recurrence(RabiParams(0.7, 0.4), "minus"),
          (-1.0, 4.0)),
     ]
     worst = 0.0

@@ -9,7 +9,6 @@ from ttrspec import (
     CoefficientPoleError,
     DhoParams,
     NonConvergenceError,
-    ParityRabiParams,
     RabiParams,
     Recurrence,
     SeriesConfig,
@@ -141,7 +140,7 @@ class TestRatioCf:
             delta = float(rng.uniform(0.0, 0.9))
             recs.append(dho_recurrence(DhoParams(kappa)))
             recs.append(parity_rabi_recurrence(
-                ParityRabiParams(kappa, delta, 1.0, "minus")))
+                RabiParams(kappa, delta), "minus"))
         for rec in recs:
             for x in rng.uniform(-0.8, 3.8, size=8):
                 ev = char_series(rec, float(x), CFG)
@@ -194,7 +193,7 @@ class TestSignFlip:
         builders = [
             lambda k: dho_recurrence(DhoParams(k)),
             lambda k: rabi_displaced_recurrence(RabiParams(k, delta)),
-            lambda k: parity_rabi_recurrence(ParityRabiParams(k, delta, 1.0, "plus")),
+            lambda k: parity_rabi_recurrence(RabiParams(k, delta), "plus"),
         ]
         for build in builders:
             plus = build(kappa)
@@ -224,7 +223,7 @@ class TestMinimalSolution:
         assert all(math.isfinite(r) for r in sol.residuals)
 
     def test_parity_rabi_boundary_residual_at_root(self):
-        rec = parity_rabi_recurrence(ParityRabiParams(0.7, 0.4, 1.0, "plus"))
+        rec = parity_rabi_recurrence(RabiParams(0.7, 0.4), "plus")
         sol = minimal_solution(rec, -0.4270437, 40)
         assert sol.residuals[0] <= 1e-6
 
@@ -234,7 +233,7 @@ class TestMinimalSolution:
         rs = minimal_ratios(rec, 0.51, 200)
         assert abs(rs[200]) * 200 == pytest.approx(kappa, rel=0.1)
         for parity, root in (("plus", -0.4270436746), ("minus", -0.7078050641)):
-            prec = parity_rabi_recurrence(ParityRabiParams(kappa, 0.4, 1.0, parity))
+            prec = parity_rabi_recurrence(RabiParams(kappa, 0.4), parity)
             rsp = minimal_ratios(prec, root, 200)
             assert abs(rsp[200]) * 200 == pytest.approx(kappa, rel=0.1)
 

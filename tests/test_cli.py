@@ -79,6 +79,16 @@ class TestRootsCommand:
                     "classification"} <= set(r)
             assert len(r["bracket"]) == 2
 
+    def test_single_parity_json_params(self, runner):
+        res = runner.invoke(cli, [
+            "roots", "--model", "rabi-parity", "--parity", "plus",
+            "--kappa", "0.7", "--delta", "0.4", "--x-min", "-1", "--x-max", "1",
+            "--points", "400", "--format", "json"])
+        assert res.exit_code == 0
+        payload = json.loads(res.output)
+        assert payload["params"] == {"kappa": 0.7, "delta": 0.4}
+        assert {r["parity"] for r in payload["roots"]} == {1}
+
     def test_csv_format(self, runner):
         res = runner.invoke(cli, [
             "roots", "--model", "dho", "--kappa", "0.7",
@@ -160,7 +170,7 @@ class TestFlowCommand:
         res = runner.invoke(cli, ["flow", "--model", "dho", "--kappa", "0.7",
                                   "--sweep", "theta:0:1:3"])
         assert res.exit_code == 2
-        for spec in ("kappa:-0.5:0.5:3", "delta:0:1:0"):
+        for spec in ("kappa:-0.5:0.5:3", "delta:0:1:0", "omega:1:2:2"):
             res = runner.invoke(cli, ["flow", "--model", "dho", "--kappa", "0.7",
                                       "--sweep", spec])
             assert res.exit_code == 2, spec
@@ -199,6 +209,16 @@ def test_bad_series_options_rejected(runner, command, flag, value, message):
                                         flag, value])
     assert res.exit_code == 2
     assert message in res.output
+
+
+@pytest.mark.parametrize("command", [
+    ["roots"], ["scan"], ["flow", "--sweep", "kappa:0.5:1:3"]])
+@pytest.mark.parametrize("flag, value", [("--omega", "2"), ("--theta", "0.3")])
+def test_removed_options_rejected(runner, command, flag, value):
+    res = runner.invoke(cli, command + ["--model", "dho", "--kappa", "0.7",
+                                        flag, value])
+    assert res.exit_code == 2
+    assert "No such option" in res.output and flag in res.output
 
 
 @pytest.mark.parametrize("command", [["roots"], ["flow", "--sweep", "kappa:0.5:1:3"]])

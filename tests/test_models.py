@@ -7,7 +7,6 @@ from ttrspec import (
     CoefficientPoleError,
     DhoParams,
     JcParams,
-    ParityRabiParams,
     RabiParams,
     bessel_fixture,
     bessel_j_series,
@@ -17,34 +16,28 @@ from ttrspec import (
     parity_rabi_recurrence,
     rabi_displaced_recurrence,
     ratio_cf,
+    resolve_spectrum,
 )
 from ttrspec.models import recurrences_for
 
 
 class TestParamValidation:
     def test_kappa_nonzero(self):
-        for cls in (DhoParams, RabiParams, ParityRabiParams):
+        for cls in (DhoParams, RabiParams):
             with pytest.raises(ValueError, match="kappa"):
                 cls(kappa=0.0)
 
     def test_kappa_and_delta_finite(self):
         for bad in (math.nan, math.inf, -math.inf):
-            for cls in (DhoParams, RabiParams, ParityRabiParams):
+            for cls in (DhoParams, RabiParams):
                 with pytest.raises(ValueError, match="finite"):
                     cls(kappa=bad)
-            for cls in (RabiParams, ParityRabiParams):
-                with pytest.raises(ValueError, match="finite"):
-                    cls(kappa=0.7, delta=bad)
-
-    def test_omega_positive(self):
-        with pytest.raises(ValueError, match="omega"):
-            DhoParams(kappa=0.7, omega=0.0)
-        with pytest.raises(ValueError, match="omega"):
-            JcParams(omega=-1.0, omega0=1.0, lam=0.1)
+            with pytest.raises(ValueError, match="finite"):
+                RabiParams(kappa=0.7, delta=bad)
 
     def test_parity_choices(self):
         with pytest.raises(ValueError, match="parity"):
-            ParityRabiParams(kappa=0.7, parity="up")
+            parity_rabi_recurrence(RabiParams(0.7), "up")
 
 
 class TestDho:
@@ -110,54 +103,53 @@ class TestDisplacedRabi:
 
 class TestParityRabi:
     def test_plus_coefficient(self):
-        rec = parity_rabi_recurrence(ParityRabiParams(0.7, 0.4, 1.0, "plus"))
+        rec = parity_rabi_recurrence(RabiParams(0.7, 0.4), "plus")
         # (-1)^1 makes the shift -delta at n = 1
         assert rec.a(1, 0.0) == pytest.approx((1 - 0.4) / (0.7 * 2))
 
     def test_minus_coefficient(self):
-        rec = parity_rabi_recurrence(ParityRabiParams(0.7, 0.4, 1.0, "minus"))
+        rec = parity_rabi_recurrence(RabiParams(0.7, 0.4), "minus")
         assert rec.a(0, 0.0) == pytest.approx(-0.4 / 0.7)
 
     def test_delta_zero_matches_dho_exactly(self):
         rng = np.random.default_rng(3)
         dho = dho_recurrence(DhoParams(0.7))
         for parity in ("plus", "minus"):
-            rec = parity_rabi_recurrence(ParityRabiParams(0.7, 0.0, 1.0, parity))
+            rec = parity_rabi_recurrence(RabiParams(0.7, 0.0), parity)
             for x in rng.uniform(-2.0, 8.0, size=40):
                 for n in (0, 1, 2, 17, 255, 10 ** 4):
                     assert rec.a(n, float(x)) == dho.a(n, float(x))
                     assert rec.b(n, float(x)) == dho.b(n, float(x))
 
     def test_no_explicit_poles(self):
-        rec = parity_rabi_recurrence(ParityRabiParams(0.7, 0.4))
+        rec = parity_rabi_recurrence(RabiParams(0.7, 0.4), "plus")
         assert rec.explicit_poles(-5.0, 5.0) == []
 
 
 class TestJcLevels:
     def test_decoupled_limit(self):
-        levels = jc_exact_levels(JcParams(omega=1.0, omega0=1.0, lam=0.0), 2)
+        levels = jc_exact_levels(JcParams(kappa=0.0, delta=0.5), 2)
         assert levels == pytest.approx([-0.5, 0.5, 0.5, 1.5, 1.5, 2.5, 2.5])
 
     def test_first_block_by_hand(self):
-        levels = jc_exact_levels(JcParams(omega=1.0, omega0=1.0, lam=0.1), 0)
+        levels = jc_exact_levels(JcParams(kappa=0.1, delta=0.5), 0)
         assert levels == pytest.approx([-0.5, 0.4, 0.6])
 
     def test_blocks_match_two_by_two_diagonalization(self):
-        p = JcParams(omega=1.3, omega0=0.8, lam=0.37)
-        mu = 0.5 * p.omega0
-        expected = [-mu]
+        p = JcParams(0.37 / 1.3, 0.4 / 1.3)
+        expected = [-p.delta]
         for n in range(8):
             block = np.array([
-                [p.omega * n + mu, p.lam * np.sqrt(n + 1)],
-                [p.lam * np.sqrt(n + 1), p.omega * (n + 1) - mu],
+                [n + p.delta, p.kappa * np.sqrt(n + 1)],
+                [p.kappa * np.sqrt(n + 1), (n + 1) - p.delta],
             ])
             expected.extend(np.linalg.eigvalsh(block))
-        expected = sorted(e / p.omega for e in expected)
+        expected = sorted(expected)
         assert jc_exact_levels(p, 7) == pytest.approx(expected, abs=1e-12)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            jc_exact_levels(JcParams(1.0, 1.0, 0.1), -1)
+            jc_exact_levels(JcParams(0.1, 0.5), -1)
 
 
 class TestBesselFixture:
@@ -181,9 +173,18 @@ class TestRecurrencesFor:
     def test_parity_branches(self):
         branches = recurrences_for("rabi-parity", RabiParams(0.7, 0.4))
         assert [label for _, label in branches] == [1, -1]
-        single = recurrences_for("rabi-parity",
-                                 ParityRabiParams(0.7, 0.4, 1.0, "minus"))
+        single = recurrences_for("rabi-parity", RabiParams(0.7, 0.4),
+                                 parity="minus")
         assert [label for _, label in single] == [-1]
+
+    @pytest.mark.parametrize("model, params", [
+        ("dho", DhoParams(0.7)), ("rabi", RabiParams(0.7, 0.4)),
+        ("rabi-parity", RabiParams(0.7, 0.4))])
+    def test_unknown_parity_rejected(self, model, params):
+        with pytest.raises(ValueError, match="parity"):
+            recurrences_for(model, params, parity="sideways")
+        with pytest.raises(ValueError, match="parity"):
+            resolve_spectrum(model, params, (-1.0, 1.0), parity="sideways")
 
     def test_single_recurrence_models(self):
         assert len(recurrences_for("dho", DhoParams(0.7))) == 1
@@ -193,4 +194,4 @@ class TestRecurrencesFor:
         with pytest.raises(ValueError, match="recurrence"):
             recurrences_for("gen-rabi", RabiParams(0.7, 0.4))
         with pytest.raises(ValueError, match="recurrence"):
-            recurrences_for("jc", JcParams(1.0, 1.0, 0.1))
+            recurrences_for("jc", JcParams(0.1, 0.5))

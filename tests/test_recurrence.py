@@ -8,7 +8,6 @@ from ttrspec import (
     AsymptoticProfile,
     DhoParams,
     NumericsError,
-    ParityRabiParams,
     RabiParams,
     Recurrence,
     SeriesConfig,
@@ -30,8 +29,8 @@ def shipped_recurrences():
     return [
         dho_recurrence(DhoParams(0.7)),
         rabi_displaced_recurrence(RabiParams(0.7, 0.4)),
-        parity_rabi_recurrence(ParityRabiParams(0.7, 0.4, 1.0, "plus")),
-        parity_rabi_recurrence(ParityRabiParams(0.7, 0.4, 1.0, "minus")),
+        parity_rabi_recurrence(RabiParams(0.7, 0.4), "plus"),
+        parity_rabi_recurrence(RabiParams(0.7, 0.4), "minus"),
         bessel_fixture(1.0),
     ]
 
@@ -164,7 +163,7 @@ class TestEnergyMap:
 
     def test_identity_maps(self):
         for rec in (dho_recurrence(DhoParams(0.7)),
-                    parity_rabi_recurrence(ParityRabiParams(0.7, 0.4))):
+                    parity_rabi_recurrence(RabiParams(0.7, 0.4), "plus")):
             assert rec.energy_of(1.23) == 1.23
             assert rec.x_of(-0.5) == -0.5
 
@@ -204,7 +203,7 @@ class TestLevelCount:
             assert spec.eigenvalues[-1] > self.E_MAX
             levels = np.array(spec.eigenvalues)
             labels = spec.parities
-            sectors = {label: parity_rabi_recurrence(ParityRabiParams(kappa, delta, 1.0, name))
+            sectors = {label: parity_rabi_recurrence(RabiParams(kappa, delta), name)
                        for label, name in ((1, "plus"), (-1, "minus"))}
             displaced = rabi_displaced_recurrence(p)
             dho = dho_recurrence(DhoParams(kappa))

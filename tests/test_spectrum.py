@@ -9,7 +9,6 @@ from ttrspec import (
     AsymptoticProfile,
     DhoParams,
     NumericsError,
-    ParityRabiParams,
     RabiParams,
     Recurrence,
     RootKind,
@@ -112,7 +111,7 @@ class TestScan:
 
     @pytest.mark.parametrize("rec, x_lo, x_hi, points", [
         (dho_recurrence(DhoParams(0.7)), -1.0, 6.0, 500),
-        (parity_rabi_recurrence(ParityRabiParams(1.5, 0.7, 1.0, "minus")), -3.0, 8.0, 400),
+        (parity_rabi_recurrence(RabiParams(1.5, 0.7), "minus"), -3.0, 8.0, 400),
         (rabi_displaced_recurrence(RabiParams(0.7, 0.4)), -0.5, 3.5, 300),
         # linspace(-1, 3, 2001) hits the poles 0, 1, 2: the grid is nudged
         (rabi_displaced_recurrence(RabiParams(0.7, 0.4)), -1.0, 3.0, 2001),
@@ -161,7 +160,7 @@ class TestFindRoots:
     def test_parity_rabi_quoted_zeros(self):
         for parity, expected, tol in (("minus", -0.707805, 1e-4),
                                       ("plus", -0.4270437, 1e-5)):
-            rec = parity_rabi_recurrence(ParityRabiParams(0.7, 0.4, 1.0, parity))
+            rec = parity_rabi_recurrence(RabiParams(0.7, 0.4), parity)
             sr = scan(rec, -1.0, 1.0, 1500, CFG)
             zeros = zeros_of(find_roots(sr, rec, x_tol=1e-12))
             assert any(abs(r.x - expected) < tol for r in zeros)
@@ -305,6 +304,15 @@ class TestResolveSpectrum:
             "rabi-parity", RabiParams(0.7, 0.4), (-1.0, 1.0), CFG,
             parity="minus", points=1000))
         assert all(r.parity == -1 for r in only_minus)
+        both = zeros_of(resolve_spectrum(
+            "rabi-parity", RabiParams(0.7, 0.4), (-1.0, 1.0), CFG,
+            parity="both", points=1000))
+        only_plus = zeros_of(resolve_spectrum(
+            "rabi-parity", RabiParams(0.7, 0.4), (-1.0, 1.0), CFG,
+            parity="plus", points=1000))
+        assert only_minus == [r for r in both if r.parity == -1]
+        assert only_plus == [r for r in both if r.parity == 1]
+        assert only_minus and only_plus
 
     def test_window_validation(self):
         with pytest.raises(ValueError):
@@ -365,7 +373,7 @@ class TestOracleGrid:
 
 class TestDeterminism:
     def test_scan_bitwise_stable(self):
-        rec = parity_rabi_recurrence(ParityRabiParams(0.7, 0.4, 1.0, "plus"))
+        rec = parity_rabi_recurrence(RabiParams(0.7, 0.4), "plus")
         a = scan(rec, -1.0, 2.0, 700, CFG)
         b = scan(rec, -1.0, 2.0, 700, CFG)
         assert np.array_equal(a.xs, b.xs)
