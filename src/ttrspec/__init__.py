@@ -13,7 +13,6 @@ cross-checks everything against truncated Fock-space diagonalization.
 from .charfunc import (
     CharEval,
     MinimalSolution,
-    SeriesConfig,
     SeriesStatus,
     cf_convergent,
     char_partial_sums,
@@ -85,7 +84,6 @@ __all__ = [
     "Root",
     "RootKind",
     "ScanResult",
-    "SeriesConfig",
     "SeriesStatus",
     "TruncatedHamiltonian",
     "bessel_fixture",

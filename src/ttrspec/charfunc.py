@@ -36,38 +36,24 @@ from .recurrence import Recurrence, tail_ratio_estimate
 
 _TINY = 1e-300
 
+#: truncation rule of ``char_series``: see its docstring
+_REL_TOL = 1e-14
+_ABS_TOL = 1e-300
+_CONSECUTIVE_SMALL = 3
+_MAX_TERMS = 20000
+#: a u_l denominator smaller than this is a pole of the series
+_POLE_GUARD = 1e-12
+#: backward passes start at least this deep and double until r_0 agrees
+#: to _CF_REL_TOL between two passes, up to _CF_MAX_DEPTH
+_CF_DEPTH = 64
+_CF_REL_TOL = 1e-12
+_CF_MAX_DEPTH = 1 << 20
+
 
 class SeriesStatus(enum.Enum):
     CONVERGED = "Converged"
     MAX_TERMS = "MaxTermsReached"
     POLE = "PoleDetected"
-
-
-@dataclass(frozen=True)
-class SeriesConfig:
-    """Truncation and pole-guard settings for the series evaluation.
-
-    Convergence requires ``consecutive_small`` successive product terms
-    below rel_tol*|partial sum| + abs_tol, because the products can dip
-    accidentally and a single small term is not proof of convergence.
-    """
-
-    rel_tol: float = 1e-14
-    abs_tol: float = 1e-300
-    consecutive_small: int = 3
-    max_terms: int = 20000
-    pole_guard: float = 1e-12
-
-    def __post_init__(self):
-        if not 0.0 < self.rel_tol < float("inf"):
-            raise ValueError("rel_tol must be positive and finite")
-        if self.max_terms < 1:
-            raise ValueError("max_terms must be >= 1")
-        if self.consecutive_small < 1:
-            raise ValueError("consecutive_small must be >= 1")
-
-
-DEFAULT_CONFIG = SeriesConfig()
 
 
 @dataclass(frozen=True)
@@ -86,9 +72,14 @@ class CharEval:
     last_term: float
 
 
-def char_series(rec: Recurrence, x: float,
-                cfg: SeriesConfig = DEFAULT_CONFIG) -> CharEval:
+def char_series(rec: Recurrence, x: float) -> CharEval:
     """Evaluate char(x) = a_0 + sum of telescoped continued-fraction terms.
+
+    The series has converged once 3 successive product terms fall below
+    1e-14*|partial sum| + 1e-300, because the products can dip
+    accidentally and a single small term is not proof of convergence.
+    It stops with MaxTermsReached after 20000 terms, and with
+    PoleDetected where a u_l denominator falls below 1e-12.
 
     Parameters
     ----------
@@ -96,8 +87,6 @@ def char_series(rec: Recurrence, x: float,
         Coefficient functions and metadata.
     x : float
         Energy parameter; must not sit on an explicit coefficient pole.
-    cfg : SeriesConfig
-        Truncation rule and pole guard.
 
     Raises
     ------
@@ -112,30 +101,30 @@ def char_series(rec: Recurrence, x: float,
     total = a0 + term
     u_prev = 1.0
 
-    small_run = 1 if abs(term) <= cfg.rel_tol * abs(total) + cfg.abs_tol else 0
-    if small_run >= cfg.consecutive_small:
+    small_run = 1 if abs(term) <= _REL_TOL * abs(total) + _ABS_TOL else 0
+    if small_run >= _CONSECUTIVE_SMALL:
         return CharEval(total, 1, SeriesStatus.CONVERGED, abs(term))
 
-    for l in range(2, cfg.max_terms + 1):
+    for l in range(2, _MAX_TERMS + 1):
         a_l = rec.a(l, x)
         b_l = rec.b(l, x)
         if a_l == 0.0:
             raise CoefficientPoleError(f"coefficient pole at level {l}")
         denom = 1.0 - u_prev * b_l / (a_l * a_prev)
-        if abs(denom) < cfg.pole_guard:
+        if abs(denom) < _POLE_GUARD:
             return CharEval(total, l - 1, SeriesStatus.POLE, abs(term))
         u = 1.0 / denom
         term *= u - 1.0
         total += term
-        if abs(term) <= cfg.rel_tol * abs(total) + cfg.abs_tol:
+        if abs(term) <= _REL_TOL * abs(total) + _ABS_TOL:
             small_run += 1
-            if small_run >= cfg.consecutive_small:
+            if small_run >= _CONSECUTIVE_SMALL:
                 return CharEval(total, l, SeriesStatus.CONVERGED, abs(term))
         else:
             small_run = 0
         u_prev = u
         a_prev = a_l
-    return CharEval(total, cfg.max_terms, SeriesStatus.MAX_TERMS, abs(term))
+    return CharEval(total, _MAX_TERMS, SeriesStatus.MAX_TERMS, abs(term))
 
 
 def char_partial_sums(rec: Recurrence, x: float, k_max: int) -> list[float]:
@@ -194,21 +183,17 @@ def _cf_ratios(rec: Recurrence, x: float, depth: int, keep: int,
     return out
 
 
-def ratio_cf(rec: Recurrence, x: float, depth: int = 64,
-             rel_tol: float = 1e-12, max_depth: int = 1 << 20) -> float:
+def ratio_cf(rec: Recurrence, x: float) -> float:
     """Minimal-solution ratio r_0 = m_1/m_0 by backward continued fraction.
 
-    Evaluates backward from ``depth`` seeded with the asymptotic tail
-    ratio, doubling the start depth until two successive approximants
-    agree to rel_tol (``minimal_ratios`` with n_max = 0).
+    Evaluates backward seeded with the asymptotic tail ratio, doubling
+    the start depth until two successive approximants agree to 1e-12
+    (``minimal_ratios`` with n_max = 0).
 
-    Raises NonConvergenceError (carrying both approximants) if the cap
-    is reached without agreement.
+    Raises NonConvergenceError (carrying both approximants) if the depth
+    cap is reached without agreement.
     """
-    if depth < 2:
-        raise ValueError("depth must be >= 2")
-    return minimal_ratios(rec, x, 0, depth=depth, rel_tol=rel_tol,
-                          max_depth=max_depth)[0]
+    return minimal_ratios(rec, x, 0)[0]
 
 
 @dataclass(frozen=True)
@@ -224,9 +209,7 @@ class MinimalSolution:
     residuals: list[float]
 
 
-def minimal_ratios(rec: Recurrence, x: float, n_max: int,
-                   depth: int | None = None, rel_tol: float = 1e-12,
-                   max_depth: int = 1 << 20) -> list[float]:
+def minimal_ratios(rec: Recurrence, x: float, n_max: int) -> list[float]:
     """Minimal ratios r_0..r_{n_max} from one converged backward pass.
 
     The start depth doubles until r_0 stabilizes (the deeper ratios
@@ -235,22 +218,19 @@ def minimal_ratios(rec: Recurrence, x: float, n_max: int,
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    d = depth if depth is not None else max(2 * n_max, 64)
-    d = max(d, n_max + 2)
+    d = max(2 * n_max, _CF_DEPTH)
     rs = prev = _cf_ratios(rec, x, d, n_max)
-    while d < max_depth:
+    while d < _CF_MAX_DEPTH:
         d *= 2
         prev, rs = rs, _cf_ratios(rec, x, d, n_max)
-        if abs(rs[0] - prev[0]) <= rel_tol * max(1.0, abs(rs[0])):
+        if abs(rs[0] - prev[0]) <= _CF_REL_TOL * max(1.0, abs(rs[0])):
             return rs
     raise NonConvergenceError(
         f"backward ratios did not stabilize by depth {d}",
         last=rs[0], previous=prev[0])
 
 
-def minimal_solution(rec: Recurrence, x_root: float, n_count: int,
-                     depth: int | None = None,
-                     rel_tol: float = 1e-12) -> MinimalSolution:
+def minimal_solution(rec: Recurrence, x_root: float, n_count: int) -> MinimalSolution:
     """Reconstruct the minimal solution m_0..m_{n_count} at x_root.
 
     x_root is expected to be an accepted root of the characteristic
@@ -259,8 +239,7 @@ def minimal_solution(rec: Recurrence, x_root: float, n_count: int,
     """
     if n_count < 0:
         raise ValueError("n_count must be >= 0")
-    rs = minimal_ratios(rec, x_root, max(n_count - 1, 0),
-                        depth=depth, rel_tol=rel_tol)
+    rs = minimal_ratios(rec, x_root, max(n_count - 1, 0))
 
     m = [1.0]
     for n in range(n_count):

@@ -18,7 +18,8 @@ and numbers carry 17 significant digits.  A flow ``track_id`` names one
 level that leaves the window and comes back keeps its id.  Model
 ``rabi`` has no parity labels: each of its tracks is its k-th level for
 one k.  Exit codes: 0 success, 2 argument error (a sweep step the model
-rejects included), 3 numerical failure, 4 validation failure.
+rejects, and a model flag the model does not read, included), 3
+numerical failure, 4 validation failure.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ import sys
 
 import click
 
-from .charfunc import SeriesConfig
 from .errors import NumericsError
 from .models import (
     ORACLE_ONLY_MODELS,
@@ -50,9 +50,13 @@ def _fmt(v: float) -> str:
     return format(v, ".17g")
 
 
-def _params_for(model, kappa, delta):
+def _params_for(model, kappa, delta, parity):
     if kappa is None:
         raise click.UsageError(f"--kappa is required for model '{model}'")
+    if model == "dho" and delta != 0.0:
+        raise click.UsageError("--delta does not apply to model 'dho'")
+    if model != "rabi-parity" and parity != "both":
+        raise click.UsageError(f"--parity does not apply to model '{model}'")
     try:
         return DhoParams(kappa) if model == "dho" else RabiParams(kappa, delta)
     except ValueError as exc:
@@ -66,22 +70,13 @@ def _require_recurrence(model):
             "`validate` applies to it (oracle diagonalization)")
 
 
-def _check_window(x_min, x_max, points, x_tol=0.0):
+def _check_window(x_min, x_max, points):
     if not (math.isfinite(x_min) and math.isfinite(x_max)):
         raise click.UsageError("--x-min and --x-max must be finite")
     if not x_min < x_max:
         raise click.UsageError("--x-min must be smaller than --x-max")
     if points < 16:
         raise click.UsageError("--points must be >= 16")
-    if not 0.0 <= x_tol < math.inf:
-        raise click.UsageError("--x-tol must be finite and >= 0")
-
-
-def _series_config(rel_tol, max_terms) -> SeriesConfig:
-    try:
-        return SeriesConfig(rel_tol=rel_tol, max_terms=max_terms)
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from exc
 
 
 def _write(text: str, out: str | None):
@@ -121,22 +116,18 @@ def _model_options(fn):
         click.option("--kappa", type=float, default=None,
                      help="Coupling / omega."),
         click.option("--delta", type=float, default=0.0,
-                     help="Level splitting / omega."),
+                     help="Level splitting / omega (rabi, rabi-parity)."),
         click.option("--parity", type=click.Choice(["plus", "minus", "both"]),
-                     default="both", show_default=True),
+                     default="both", show_default=True,
+                     help="Reflection sector (rabi-parity)."),
     ]
     for opt in reversed(opts):
         fn = opt(fn)
     return fn
 
 
-_x_tol_option = click.option("--x-tol", type=float, default=1e-10, show_default=True)
-
-
 def _numeric_options(fn):
     opts = [
-        click.option("--rel-tol", type=float, default=1e-14, show_default=True),
-        click.option("--max-terms", type=int, default=20000, show_default=True),
         click.option("--points", type=int, default=4000, show_default=True),
         click.option("--x-min", type=float, default=-1.0, show_default=True),
         click.option("--x-max", type=float, default=6.0, show_default=True),
@@ -158,19 +149,17 @@ def cli():
 @click.option("--out", type=click.Path(), default=None, help="Output path (default stdout).")
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv",
               show_default=True)
-def scan(model, kappa, delta, parity, rel_tol, max_terms,
-         points, x_min, x_max, out, fmt):
+def scan(model, kappa, delta, parity, points, x_min, x_max, out, fmt):
     """Tabulate the characteristic function over an energy window."""
     _require_recurrence(model)
     _check_window(x_min, x_max, points)
     if model == "rabi-parity" and parity == "both":
         raise click.UsageError(
             "scan writes a single F column; choose --parity plus or minus")
-    params = _params_for(model, kappa, delta)
-    cfg = _series_config(rel_tol, max_terms)
+    params = _params_for(model, kappa, delta, parity)
     rec, _ = recurrences_for(model, params, parity=parity)[0]
     try:
-        sr = run_scan(rec, rec.x_of(x_min), rec.x_of(x_max), points, cfg)
+        sr = run_scan(rec, rec.x_of(x_min), rec.x_of(x_max), points)
     except NumericsError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(3)
@@ -184,6 +173,7 @@ def scan(model, kappa, delta, parity, rel_tol, max_terms,
         payload = {
             "model": model,
             "params": dataclasses.asdict(params),
+            "parity": parity if model == "rabi-parity" else None,
             "points": [
                 {"x": float(x), "F": ev.value, "status": ev.status.value,
                  "branch_id": int(bid)}
@@ -196,20 +186,17 @@ def scan(model, kappa, delta, parity, rel_tol, max_terms,
 @cli.command()
 @_model_options
 @_numeric_options
-@_x_tol_option
 @click.option("--out", type=click.Path(), default=None, help="Output path (default stdout).")
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json",
               show_default=True)
-def roots(model, kappa, delta, parity, rel_tol, max_terms,
-          x_tol, points, x_min, x_max, out, fmt):
+def roots(model, kappa, delta, parity, points, x_min, x_max, out, fmt):
     """Refine and classify the zeros inside an energy window."""
     _require_recurrence(model)
-    _check_window(x_min, x_max, points, x_tol)
-    params = _params_for(model, kappa, delta)
-    cfg = _series_config(rel_tol, max_terms)
+    _check_window(x_min, x_max, points)
+    params = _params_for(model, kappa, delta, parity)
     try:
-        found = resolve_spectrum(model, params, (x_min, x_max), cfg,
-                                 parity=parity, points=points, x_tol=x_tol)
+        found = resolve_spectrum(model, params, (x_min, x_max),
+                                 parity=parity, points=points)
     except NumericsError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(3)
@@ -228,17 +215,15 @@ def roots(model, kappa, delta, parity, rel_tol, max_terms,
 @cli.command()
 @_model_options
 @_numeric_options
-@_x_tol_option
 @click.option("--sweep", required=True,
               help="Swept parameter as name:lo:hi:steps, e.g. delta:0:1:50.")
 @click.option("--out", type=click.Path(), default=None, help="Output path (default stdout).")
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv",
               show_default=True)
-def flow(model, kappa, delta, parity, rel_tol, max_terms,
-         x_tol, points, x_min, x_max, sweep, out, fmt):
+def flow(model, kappa, delta, parity, points, x_min, x_max, sweep, out, fmt):
     """Track the spectrum along a one-parameter sweep."""
     _require_recurrence(model)
-    _check_window(x_min, x_max, points, x_tol)
+    _check_window(x_min, x_max, points)
     parts = sweep.split(":")
     if len(parts) != 4:
         raise click.UsageError("--sweep must be name:lo:hi:steps")
@@ -252,15 +237,13 @@ def flow(model, kappa, delta, parity, rel_tol, max_terms,
         raise click.UsageError("--sweep bounds must be finite")
     if name not in ("delta", "kappa"):
         raise click.UsageError("sweep parameter must be delta or kappa")
-    params = _params_for(model, kappa if kappa is not None else 1.0, delta)
+    params = _params_for(model, kappa, delta, parity)
     if not hasattr(params, name):
         raise click.UsageError(
             f"'{name}' is not a parameter of model '{model}'")
-    cfg = _series_config(rel_tol, max_terms)
     try:
         result = run_flow(model, params, (name, lo, hi, steps),
-                          (x_min, x_max), cfg, parity=parity,
-                          points=points, x_tol=x_tol)
+                          (x_min, x_max), parity=parity, points=points)
     except NumericsError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(3)

@@ -11,11 +11,12 @@ Wilkinson, 1967).
 once per zero and once per pole, so a sign change that the count does
 not account for (above all, one across a cell with no level) is a pole
 and ends a branch, as do explicit coefficient poles and PoleDetected
-points.  ``find_roots`` splits the scan's cells on the count until each
-holds one level, narrows each to x_tol on the count, and only then
-evaluates char(x), to polish the root.  The count assumes a recurrence
-whose coefficients form a pencil of the shipped orientation (see
-``Recurrence``); NumericsError is raised where it falls.
+points.  ``scan`` also splits its cells on the count until each holds
+one level and narrows each to 1e-10; ``find_roots`` polishes every level
+from the scan's char(x) at the ends of its cell and up to three secant
+steps inside it.  The count assumes a recurrence whose coefficients
+form a pencil of the shipped orientation (see ``Recurrence``);
+NumericsError is raised where it falls.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from enum import Enum
 
 import numpy as np
 
-from .charfunc import DEFAULT_CONFIG, CharEval, SeriesConfig, SeriesStatus, char_series
+from .charfunc import CharEval, SeriesStatus, char_series
 from .errors import CoefficientPoleError, NumericsError
 from .models import recurrences_for
 from .recurrence import Recurrence
@@ -38,8 +39,9 @@ _POLE_NUDGE = 1e-9
 #: window: two levels closer than that (degenerate, or of different
 #: sectors) stay in one cell
 _HALVING_FLOOR = 1e-12
-#: width to which ``scan`` narrows the cell of each level: the default x_tol
-_SCAN_X_TOL = 1e-10
+#: width to which ``scan`` narrows the cell of each level; a Zero within
+#: 10*_X_TOL of an explicit coefficient pole is a possible exceptional point
+_X_TOL = 1e-10
 
 
 class RootKind(Enum):
@@ -64,7 +66,6 @@ class ScanResult:
     fs: list[CharEval]
     counts: np.ndarray
     branch_ids: np.ndarray
-    cfg: SeriesConfig
 
 
 @dataclass(frozen=True)
@@ -109,20 +110,20 @@ class FlowResult:
     tracks: list[list[tuple[int, "Root"]]]
 
 
-def _evaluate(rec: Recurrence, x: float, cfg: SeriesConfig) -> CharEval:
+def _evaluate(rec: Recurrence, x: float) -> CharEval:
     try:
-        return char_series(rec, x, cfg)
+        return char_series(rec, x)
     except CoefficientPoleError:
         return CharEval(math.nan, 0, SeriesStatus.POLE, math.inf)
 
 
-def _isolate(rec: Recurrence, xs: list[float], counts: list[int],
-             x_tol: float) -> list[tuple[float, float, int, int]]:
+def _isolate(rec: Recurrence, xs: list[float],
+             counts: list[int]) -> list[tuple[float, float, int, int]]:
     """The cells (lo, hi, count_lo, count_hi) that hold the levels counted
     between consecutive ``xs``, in ascending order.
 
     A cell holding several levels is halved on the count down to 1e-12 of
-    [xs[0], xs[-1]], and a cell holding one level down to x_tol.
+    [xs[0], xs[-1]], and a cell holding one level down to 1e-10.
     NumericsError is raised where the count falls.
     """
     floor = _HALVING_FLOOR * (xs[-1] - xs[0])
@@ -139,7 +140,7 @@ def _isolate(rec: Recurrence, xs: list[float], counts: list[int],
         if rise == 0:
             continue
         mid = 0.5 * (lo + hi)
-        if hi - lo > (x_tol if rise == 1 else floor) and lo < mid < hi:
+        if hi - lo > (_X_TOL if rise == 1 else floor) and lo < mid < hi:
             c_mid = rec.levels_below(mid)
             stack += [(mid, hi, c_mid, c_hi), (lo, mid, c_lo, c_mid)]
         else:
@@ -147,8 +148,7 @@ def _isolate(rec: Recurrence, xs: list[float], counts: list[int],
     return cells
 
 
-def scan(rec: Recurrence, x_lo: float, x_hi: float, points: int,
-         cfg: SeriesConfig = DEFAULT_CONFIG) -> ScanResult:
+def scan(rec: Recurrence, x_lo: float, x_hi: float, points: int) -> ScanResult:
     """Evaluate char(x) and the level count on a grid over [x_lo, x_hi].
 
     ``rec.levels_below`` must rise with x, as it does for a pencil of the
@@ -181,10 +181,10 @@ def scan(rec: Recurrence, x_lo: float, x_hi: float, points: int,
 
     counts = rec.levels_below(np.asarray(grid)).tolist()
     count_at = dict(zip(grid, counts))
-    for lo, hi, c_lo, c_hi in _isolate(rec, grid, counts, _SCAN_X_TOL):
+    for lo, hi, c_lo, c_hi in _isolate(rec, grid, counts):
         count_at[lo], count_at[hi] = c_lo, c_hi
     xs = sorted(count_at)
-    fs = [_evaluate(rec, x, cfg) for x in xs]
+    fs = [_evaluate(rec, x) for x in xs]
     rows = list(zip(xs, fs))
     branch_ids = [0]
     for (xl, fl), (xr, fr) in zip(rows, rows[1:]):
@@ -195,18 +195,16 @@ def scan(rec: Recurrence, x_lo: float, x_hi: float, points: int,
         branch_ids.append(branch_ids[-1] + ends_branch)
     return ScanResult(xs=np.asarray(xs), fs=fs,
                       counts=np.asarray([count_at[x] for x in xs]),
-                      branch_ids=np.asarray(branch_ids), cfg=cfg)
+                      branch_ids=np.asarray(branch_ids))
 
 
-def _polish(rec: Recurrence, lo: float, hi: float,
-            cfg: SeriesConfig) -> tuple[float, float]:
-    """Point of smallest |char| among the bracket ends and up to three
-    secant steps inside the bracket; (midpoint, inf) if no end converges."""
-    ends = []
-    for x in (lo, hi):
-        ev = _evaluate(rec, x, cfg)
-        if ev.status is SeriesStatus.CONVERGED:
-            ends.append((x, ev.value))
+def _polish(rec: Recurrence, lo: float, f_lo: CharEval, hi: float,
+            f_hi: CharEval) -> tuple[float, float]:
+    """Point of smallest |char| among the bracket ends, evaluated as
+    ``f_lo`` and ``f_hi``, and up to three secant steps inside the
+    bracket; (midpoint, inf) if no end converges."""
+    ends = [(x, ev.value) for x, ev in ((lo, f_lo), (hi, f_hi))
+            if ev.status is SeriesStatus.CONVERGED]
     if not ends:
         return 0.5 * (lo + hi), math.inf
     best_x, best_f = min(ends, key=lambda t: abs(t[1]))
@@ -219,7 +217,7 @@ def _polish(rec: Recurrence, lo: float, hi: float,
         x_new = hi - fhi * (hi - lo) / (fhi - flo)
         if not lo < x_new < hi:
             break
-        ev = _evaluate(rec, x_new, cfg)
+        ev = _evaluate(rec, x_new)
         if ev.status is not SeriesStatus.CONVERGED:
             break
         if abs(ev.value) < abs(best_f):
@@ -231,33 +229,34 @@ def _polish(rec: Recurrence, lo: float, hi: float,
     return best_x, best_f
 
 
-def find_roots(sr: ScanResult, rec: Recurrence, x_tol: float = 1e-10) -> list[Root]:
+def find_roots(sr: ScanResult, rec: Recurrence) -> list[Root]:
     """Locate every level the scan's counts place in [xs[0], xs[-1]).
 
-    Each cell of the scan that holds one level is halved on the count
-    down to x_tol, if the scan left it wider (it narrows them to 1e-10).
-    Only then is char(x) evaluated: up to three secant steps polish the
-    bracket, and the point of smallest |char| is returned as a Zero with
-    that residual.  A Zero within 10*x_tol of an explicit coefficient
-    pole is returned as a PoleCrossing noted as a possible exceptional
-    point, outside the regular spectrum.  A cell that still holds more
-    than one level (closer than 1e-12 of the window) is returned as one
-    PoleCrossing whose note gives the count, so no level is dropped
-    silently.
+    Each pair of consecutive scan rows whose count rises is the cell of a
+    level, which ``scan`` has narrowed to 1e-10 on the count.  A cell
+    holding one level is polished from the scan's char(x) at its ends and
+    up to three secant steps, and the point of smallest |char| is
+    returned as a Zero with that residual.  A Zero within 1e-9 of an
+    explicit coefficient pole is returned as a PoleCrossing noted as a
+    possible exceptional point, outside the regular spectrum.  A cell
+    that still holds more than one level (closer than 1e-12 of the
+    window) is returned as one PoleCrossing whose note gives the count,
+    so no level is dropped silently.
     """
-    if not 0.0 <= x_tol < math.inf:
-        raise ValueError("x_tol must be finite and >= 0")
     xs = sr.xs.tolist()
     poles = sorted(rec.explicit_poles(xs[0], xs[-1]))
+    rows = list(zip(xs, sr.fs, sr.counts.tolist()))
     roots: list[Root] = []
-    for lo, hi, c_lo, c_hi in _isolate(rec, xs, sr.counts.tolist(), x_tol):
+    for (lo, f_lo, c_lo), (hi, f_hi, c_hi) in zip(rows, rows[1:]):
+        if c_hi == c_lo:
+            continue
         if c_hi - c_lo > 1:
             x, f = 0.5 * (lo + hi), math.inf
             kind = RootKind.POLE_CROSSING
             note = f"unresolved count: {c_hi - c_lo} levels in one cell"
         else:
-            x, f = _polish(rec, lo, hi, sr.cfg)
-            if any(abs(x - p) <= 10.0 * x_tol for p in poles):
+            x, f = _polish(rec, lo, f_lo, hi, f_hi)
+            if any(abs(x - p) <= 10.0 * _X_TOL for p in poles):
                 kind, note = RootKind.POLE_CROSSING, "possible exceptional point"
             else:
                 kind, note = RootKind.ZERO, ""
@@ -270,10 +269,8 @@ def find_roots(sr: ScanResult, rec: Recurrence, x_tol: float = 1e-10) -> list[Ro
 _PARITY_ORDER = {1: 0, -1: 1, None: 2}
 
 
-def resolve_spectrum(model: str, params, window: tuple[float, float],
-                     cfg: SeriesConfig = DEFAULT_CONFIG, *,
-                     parity: str = "both", points: int = 4000,
-                     x_tol: float = 1e-10) -> list[Root]:
+def resolve_spectrum(model: str, params, window: tuple[float, float], *,
+                     parity: str = "both", points: int = 4000) -> list[Root]:
     """Scan and refine one model over the energy window [e_lo, e_hi)
     (units of omega).
 
@@ -286,17 +283,16 @@ def resolve_spectrum(model: str, params, window: tuple[float, float],
         raise ValueError("window must satisfy e_lo < e_hi")
     merged: list[Root] = []
     for rec, label in recurrences_for(model, params, parity=parity):
-        sr = scan(rec, rec.x_of(e_lo), rec.x_of(e_hi), points, cfg)
-        for root in find_roots(sr, rec, x_tol=x_tol):
+        sr = scan(rec, rec.x_of(e_lo), rec.x_of(e_hi), points)
+        for root in find_roots(sr, rec):
             merged.append(replace(root, parity=label))
     merged.sort(key=lambda r: (r.energy, _PARITY_ORDER[r.parity]))
     return merged
 
 
 def flow(model: str, params, sweep: tuple[str, float, float, int],
-         window: tuple[float, float], cfg: SeriesConfig = DEFAULT_CONFIG, *,
-         parity: str = "both", points: int = 4000,
-         x_tol: float = 1e-10) -> FlowResult:
+         window: tuple[float, float], *, parity: str = "both",
+         points: int = 4000) -> FlowResult:
     """Resolve the spectrum along a parameter sweep and build level tracks.
 
     sweep = (name, lo, hi, steps) with name a field of ``params``
@@ -318,8 +314,7 @@ def flow(model: str, params, sweep: tuple[str, float, float, int],
     tracks: list[list[tuple[int, Root]]] = []
     track_of: dict[tuple, int] = {}
     for i, p in enumerate(step_params):
-        roots = resolve_spectrum(model, p, window, cfg, parity=parity,
-                                 points=points, x_tol=x_tol)
+        roots = resolve_spectrum(model, p, window, parity=parity, points=points)
         levels.append([r for r in roots if r.classification is RootKind.ZERO])
         sectors = tuple(len(rec.sectors) for rec, _ in recurrences_for(model, p, parity))
         for r in levels[-1]:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charfunc import SeriesConfig, SeriesStatus, char_series, minimal_ratios, ratio_cf
+from .charfunc import SeriesStatus, char_series, minimal_ratios, ratio_cf
 from .models import (
     DhoParams,
     GenRabiParams,
@@ -49,9 +49,9 @@ def _zeros(roots):
     return [r for r in roots if r.classification is RootKind.ZERO]
 
 
-def _check_dho_roots(cfg: SeriesConfig) -> CheckResult:
+def _check_dho_roots() -> CheckResult:
     p = DhoParams(kappa=0.7)
-    roots = _zeros(resolve_spectrum("dho", p, (-1.0, 6.0), cfg, points=2000))
+    roots = _zeros(resolve_spectrum("dho", p, (-1.0, 6.0), points=2000))
     exact = dho_exact_levels(p, 6)
     ok = len(roots) == 7 and all(
         abs(r.energy - e) < 1e-8 for r, e in zip(roots, exact))
@@ -60,9 +60,9 @@ def _check_dho_roots(cfg: SeriesConfig) -> CheckResult:
                        f"{len(roots)} zeros, worst |error| {worst:.2e}")
 
 
-def _check_parity_rabi_roots(cfg: SeriesConfig) -> CheckResult:
+def _check_parity_rabi_roots() -> CheckResult:
     p = RabiParams(kappa=0.7, delta=0.4)
-    roots = _zeros(resolve_spectrum("rabi-parity", p, (-1.0, 1.0), cfg, points=1500))
+    roots = _zeros(resolve_spectrum("rabi-parity", p, (-1.0, 1.0), points=1500))
     minus = [r for r in roots if r.parity == -1]
     plus = [r for r in roots if r.parity == 1]
     ok = (minus and abs(minus[0].energy - (-0.707805)) < 1e-4
@@ -72,10 +72,10 @@ def _check_parity_rabi_roots(cfg: SeriesConfig) -> CheckResult:
     return CheckResult("parity-rabi-quoted-zeros", bool(ok), detail)
 
 
-def _check_frame_shift(cfg: SeriesConfig) -> CheckResult:
+def _check_frame_shift() -> CheckResult:
     p = RabiParams(kappa=0.7, delta=0.4)
-    parity = _zeros(resolve_spectrum("rabi-parity", p, (-1.0, 1.0), cfg, points=1500))
-    displaced = _zeros(resolve_spectrum("rabi", p, (-1.0, 1.0), cfg, points=1500))
+    parity = _zeros(resolve_spectrum("rabi-parity", p, (-1.0, 1.0), points=1500))
+    displaced = _zeros(resolve_spectrum("rabi", p, (-1.0, 1.0), points=1500))
     ok = len(parity) == len(displaced)
     worst = 0.0
     if ok:
@@ -86,9 +86,9 @@ def _check_frame_shift(cfg: SeriesConfig) -> CheckResult:
                        f"{len(displaced)} frame roots, worst energy gap {worst:.2e}")
 
 
-def _check_oracle_match(cfg: SeriesConfig) -> CheckResult:
+def _check_oracle_match() -> CheckResult:
     p = RabiParams(kappa=0.7, delta=0.4)
-    zeros = _zeros(resolve_spectrum("rabi-parity", p, (-1.0, 4.0), cfg, points=2000))
+    zeros = _zeros(resolve_spectrum("rabi-parity", p, (-1.0, 4.0), points=2000))
     spectrum = eigen_lowest(build_hamiltonian("rabi", p, 200), 14, 1e-9)
     oracle = [(e, pl) for e, pl in zip(spectrum.eigenvalues, spectrum.parities)
               if -1.0 <= e <= 4.0]
@@ -104,7 +104,7 @@ def _check_oracle_match(cfg: SeriesConfig) -> CheckResult:
                        f"{len(zeros)} zeros vs {len(oracle)} oracle levels in [-1, 4]")
 
 
-def _check_series_cf_identity(cfg: SeriesConfig) -> CheckResult:
+def _check_series_cf_identity() -> CheckResult:
     cases = [
         (dho_recurrence(DhoParams(0.7)), np.linspace(-0.95, 5.95, 200)),
         (rabi_displaced_recurrence(RabiParams(0.7, 0.4)),
@@ -119,7 +119,7 @@ def _check_series_cf_identity(cfg: SeriesConfig) -> CheckResult:
         for x in grid:
             if any(abs(x - q) < 1e-3 for q in poles):
                 continue
-            ev = char_series(rec, x, cfg)
+            ev = char_series(rec, x)
             if ev.status is not SeriesStatus.CONVERGED:
                 continue
             other = rec.a(0, x) + ratio_cf(rec, x)
@@ -130,7 +130,7 @@ def _check_series_cf_identity(cfg: SeriesConfig) -> CheckResult:
                        f"{checked} points, worst rel gap {worst:.2e}")
 
 
-def _check_jc(cfg: SeriesConfig) -> CheckResult:
+def _check_jc() -> CheckResult:
     p = JcParams(kappa=0.25, delta=0.45)
     exact = jc_exact_levels(p, 12)
     spectrum = eigen_lowest(build_hamiltonian("jc", p, 64), 10, 1e-10)
@@ -139,7 +139,7 @@ def _check_jc(cfg: SeriesConfig) -> CheckResult:
                        f"worst |error| {worst:.2e} over 10 levels")
 
 
-def _check_modified_rabi(cfg: SeriesConfig) -> CheckResult:
+def _check_modified_rabi() -> CheckResult:
     worst = 0.0
     for kappa, delta in ((0.7, 0.4), (0.2, 0.1)):
         p = RabiParams(kappa, delta)
@@ -151,7 +151,7 @@ def _check_modified_rabi(cfg: SeriesConfig) -> CheckResult:
                        f"worst |error| {worst:.2e} over 10 levels x 2 settings")
 
 
-def _check_gen_rabi(cfg: SeriesConfig) -> CheckResult:
+def _check_gen_rabi() -> CheckResult:
     p = GenRabiParams(kappa=0.7, delta=0.4, theta=0.0)
     gen = eigen_lowest(build_hamiltonian("gen-rabi", p, 200), 10, 1e-9)
     std = eigen_lowest(build_hamiltonian("rabi", RabiParams(0.7, 0.4), 200), 10, 1e-9)
@@ -160,7 +160,7 @@ def _check_gen_rabi(cfg: SeriesConfig) -> CheckResult:
                        f"worst |error| {worst:.2e} against the undeformed model")
 
 
-def _check_bessel(cfg: SeriesConfig) -> CheckResult:
+def _check_bessel() -> CheckResult:
     rec = bessel_fixture(1.0)
     target = bessel_j_series(1, 1.0) / bessel_j_series(0, 1.0)
     r0 = ratio_cf(rec, 0.0)
@@ -175,7 +175,7 @@ def _check_bessel(cfg: SeriesConfig) -> CheckResult:
                        f"upward departs: {departed}")
 
 
-def _check_laguerre(cfg: SeriesConfig) -> CheckResult:
+def _check_laguerre() -> CheckResult:
     p = DhoParams(0.7)
     ups = dho_upward_coefficients(p, 0.3, 30)
     worst = max(abs(ups[n] - laguerre_dominant(p, 0.3, n))
@@ -191,14 +191,14 @@ def _check_laguerre(cfg: SeriesConfig) -> CheckResult:
                        f"integer-alpha |ratio|*200 {r200:.4f}")
 
 
-def _check_minimal_decay(cfg: SeriesConfig) -> CheckResult:
+def _check_minimal_decay() -> CheckResult:
     kappa = 0.7
     checks = []
     rec = dho_recurrence(DhoParams(kappa))
     checks.append(abs(minimal_ratios(rec, 0.51, 200)[200]) * 200)
     prec = parity_rabi_recurrence(RabiParams(kappa, 0.4), "plus")
     zp = _zeros(resolve_spectrum("rabi-parity", RabiParams(kappa, 0.4),
-                                 (-1.0, 0.0), cfg, parity="plus", points=600))
+                                 (-1.0, 0.0), parity="plus", points=600))
     checks.append(abs(minimal_ratios(prec, zp[0].x, 200)[200]) * 200)
     ok = all(abs(c - kappa) < 0.1 * kappa for c in checks)
     return CheckResult("minimal-solution-decay", ok,
@@ -219,10 +219,8 @@ _CHECKS = {
 }
 
 
-def run_validation(model: str | None = None,
-                   cfg: SeriesConfig | None = None) -> list[CheckResult]:
+def run_validation(model: str | None = None) -> list[CheckResult]:
     """Run the cross-validation battery, optionally scoped to one model."""
-    cfg = cfg or SeriesConfig()
     if model is None:
         seen = []
         for group in _CHECKS.values():
@@ -233,4 +231,4 @@ def run_validation(model: str | None = None,
         if model not in _CHECKS:
             raise ValueError(f"unknown model '{model}'")
         seen = list(_CHECKS[model])
-    return [check(cfg) for check in seen]
+    return [check() for check in seen]

@@ -17,7 +17,6 @@ from ttrspec import (
     DhoParams,
     RabiParams,
     Recurrence,
-    SeriesConfig,
     SeriesStatus,
     bessel_fixture,
     bessel_j_series,
@@ -38,8 +37,6 @@ from ttrspec import (
 )
 from ttrspec.cli import cli
 from ttrspec.oracle import laguerre_ratio
-
-CFG = SeriesConfig()
 
 
 def test_criterion_1_dho_exact_spectrum():
@@ -65,14 +62,14 @@ def test_criterion_2_rabi_parity_roots():
     """Quoted zeros of both parity branches and of the displaced frame."""
     p = RabiParams(kappa=0.7, delta=0.4)
     parity_roots = zeros_of(resolve_spectrum("rabi-parity", p, (-1.0, 1.0),
-                                             CFG, points=2000))
+                                             points=2000))
     minus = [r.x for r in parity_roots if r.parity == -1]
     plus = [r.x for r in parity_roots if r.parity == 1]
     assert any(abs(x - (-0.707805)) <= 1e-4 for x in minus)
     assert any(abs(x - (-0.4270437)) <= 1e-5 for x in plus)
 
     displaced_roots = zeros_of(resolve_spectrum("rabi", p, (-1.0, 1.0),
-                                                CFG, points=2000))
+                                                points=2000))
     xs = [r.x for r in displaced_roots]
     assert any(abs(x - (-0.217805)) <= 1e-4 for x in xs)
     assert any(abs(x - 0.0629563) <= 1e-5 for x in xs)
@@ -87,7 +84,7 @@ def test_criterion_2_rabi_parity_roots():
 def test_criterion_3_oracle_equivalence(kappa, delta):
     """Zeros in [-1, 4] pair one-to-one with certified oracle levels."""
     p = RabiParams(kappa, delta)
-    zeros = zeros_of(resolve_spectrum("rabi-parity", p, (-1.0, 4.0), CFG,
+    zeros = zeros_of(resolve_spectrum("rabi-parity", p, (-1.0, 4.0),
                                       points=2500))
     spectrum = eigen_lowest(build_hamiltonian("rabi", p, 200), 16, 1e-9)
     oracle = [(e, pl) for e, pl in zip(spectrum.eigenvalues, spectrum.parities)
@@ -127,7 +124,7 @@ def test_criterion_4_series_cf_identity():
             x = float(x)
             if any(abs(x - q) < 1e-3 for q in poles):
                 continue
-            ev = char_series(rec, x, CFG)
+            ev = char_series(rec, x)
             if ev.status is not SeriesStatus.CONVERGED:
                 continue
             other = rec.a(0, x) + ratio_cf(rec, x)
@@ -168,10 +165,10 @@ def test_criterion_4_series_cf_identity():
 def test_criterion_5_degeneracy_and_splitting():
     """Parity root sets coincide at delta = 0 and split monotonically."""
     p0 = RabiParams(0.7, 0.0)
-    plus = zeros_of(resolve_spectrum("rabi-parity", p0, (-1.0, 2.3), CFG,
-                                     parity="plus", points=1200, x_tol=1e-12))
-    minus = zeros_of(resolve_spectrum("rabi-parity", p0, (-1.0, 2.3), CFG,
-                                      parity="minus", points=1200, x_tol=1e-12))
+    plus = zeros_of(resolve_spectrum("rabi-parity", p0, (-1.0, 2.3),
+                                     parity="plus", points=1200))
+    minus = zeros_of(resolve_spectrum("rabi-parity", p0, (-1.0, 2.3),
+                                      parity="minus", points=1200))
     assert len(plus) == len(minus) == 3
     exact = [l - 0.49 for l in range(3)]
     for a, b, e in zip(plus, minus, exact):
@@ -179,7 +176,7 @@ def test_criterion_5_degeneracy_and_splitting():
         assert abs(a.x - e) <= 1e-10
 
     result = flow("rabi-parity", p0, ("delta", 0.0, 0.2, 6), (-1.0, 2.3),
-                  CFG, points=1200)
+                  points=1200)
     assert len(result.tracks) == 6
     pairs = {}
     for track in result.tracks:

@@ -11,7 +11,6 @@ from ttrspec import (
     NonConvergenceError,
     RabiParams,
     Recurrence,
-    SeriesConfig,
     SeriesStatus,
     bessel_fixture,
     bessel_j_series,
@@ -25,8 +24,7 @@ from ttrspec import (
     rabi_displaced_recurrence,
     ratio_cf,
 )
-
-CFG = SeriesConfig()
+from ttrspec import charfunc
 
 
 def table_recurrence(a_vals, b_vals, a0=1.0):
@@ -41,65 +39,50 @@ def table_recurrence(a_vals, b_vals, a0=1.0):
     return Recurrence(a=a, b=b, profile=profile, label="table")
 
 
-class TestSeriesConfig:
-    def test_defaults(self):
-        cfg = SeriesConfig()
-        assert cfg.rel_tol == 1e-14
-        assert cfg.max_terms == 20000
-
-    @pytest.mark.parametrize("kwargs", [
-        {"rel_tol": 0.0}, {"rel_tol": -1e-3},
-        {"rel_tol": math.nan}, {"rel_tol": math.inf},
-        {"max_terms": 0}, {"consecutive_small": 0},
-    ])
-    def test_rejects_bad_values(self, kwargs):
-        with pytest.raises(ValueError):
-            SeriesConfig(**kwargs)
-
-
 class TestCharSeries:
     def test_dho_vanishes_at_exact_levels(self):
         rec = dho_recurrence(DhoParams(0.7))
         for x in (0.51, -0.49):
-            ev = char_series(rec, x, CFG)
+            ev = char_series(rec, x)
             assert ev.status is SeriesStatus.CONVERGED
             assert abs(ev.value) < 1e-10
 
     def test_converged_means_small_last_term(self):
         rec = dho_recurrence(DhoParams(0.7))
-        ev = char_series(rec, 0.2, CFG)
+        ev = char_series(rec, 0.2)
         assert ev.status is SeriesStatus.CONVERGED
-        assert ev.last_term <= CFG.rel_tol * abs(ev.value) + CFG.abs_tol
+        assert ev.last_term <= charfunc._REL_TOL * abs(ev.value) + charfunc._ABS_TOL
 
     def test_bessel_fixture_equals_bessel_ratio(self):
         rec = bessel_fixture(1.0)
         target = bessel_j_series(1, 1.0) / bessel_j_series(0, 1.0)
-        ev = char_series(rec, 0.0, CFG)
+        ev = char_series(rec, 0.0)
         assert ev.value == pytest.approx(target, abs=1e-10)
 
     def test_pole_status_on_exact_transform_pole(self):
         # u_2 denominator is 1 - b_2/(a_2 a_1); make it vanish exactly
         rec = table_recurrence({1: 1.0, 2: 1.0, 3: 1.0},
                                {1: 1.0, 2: 1.0, 3: 0.1})
-        ev = char_series(rec, 0.0, CFG)
+        ev = char_series(rec, 0.0)
         assert ev.status is SeriesStatus.POLE
         assert ev.terms_used == 1
 
     def test_coefficient_pole_raises(self):
         rec = table_recurrence({1: 0.0, 2: 1.0}, {1: 1.0, 2: 1.0})
         with pytest.raises(CoefficientPoleError, match="level 1"):
-            char_series(rec, 0.0, CFG)
+            char_series(rec, 0.0)
 
     def test_displaced_rabi_singular_at_integer(self):
         rec = rabi_displaced_recurrence(RabiParams(0.7, 0.4))
         with pytest.raises(CoefficientPoleError):
-            char_series(rec, 1.0, CFG)
+            char_series(rec, 1.0)
 
-    def test_max_terms_status(self):
+    def test_max_terms_status(self, monkeypatch):
         # constant coefficients converge too slowly for a 5-term cap
+        monkeypatch.setattr(charfunc, "_MAX_TERMS", 5)
         a = {n: 1.0 for n in range(1, 50)}
         b = {n: 0.2 for n in range(1, 50)}
-        ev = char_series(table_recurrence(a, b), 0.0, SeriesConfig(max_terms=5))
+        ev = char_series(table_recurrence(a, b), 0.0)
         assert ev.status is SeriesStatus.MAX_TERMS
         assert ev.terms_used == 5
 
@@ -121,14 +104,13 @@ class TestRatioCf:
         assert r0 == pytest.approx(-rec.a(0, 0.51), abs=1e-10)
         assert r0 == pytest.approx(0.51 / 0.7, abs=1e-10)
 
-    def test_depth_validation(self):
-        with pytest.raises(ValueError):
-            ratio_cf(dho_recurrence(DhoParams(0.7)), 0.3, depth=1)
-
-    def test_non_convergence_carries_both_approximants(self):
+    def test_non_convergence_carries_both_approximants(self, monkeypatch):
+        monkeypatch.setattr(charfunc, "_CF_DEPTH", 2)
+        monkeypatch.setattr(charfunc, "_CF_REL_TOL", 1e-300)
+        monkeypatch.setattr(charfunc, "_CF_MAX_DEPTH", 8)
         rec = dho_recurrence(DhoParams(0.7))
         with pytest.raises(NonConvergenceError) as err:
-            ratio_cf(rec, 0.3, depth=2, rel_tol=1e-300, max_depth=8)
+            ratio_cf(rec, 0.3)
         assert math.isfinite(err.value.last) and math.isfinite(err.value.previous)
         assert err.value.last != err.value.previous
 
@@ -143,7 +125,7 @@ class TestRatioCf:
                 RabiParams(kappa, delta), "minus"))
         for rec in recs:
             for x in rng.uniform(-0.8, 3.8, size=8):
-                ev = char_series(rec, float(x), CFG)
+                ev = char_series(rec, float(x))
                 if ev.status is not SeriesStatus.CONVERGED:
                     continue
                 other = rec.a(0, float(x)) + ratio_cf(rec, float(x))
@@ -199,8 +181,8 @@ class TestSignFlip:
             plus = build(kappa)
             if any(abs(x - p) < 1e-6 for p in plus.explicit_poles(-1.0, 5.0)):
                 continue
-            ev_plus = char_series(plus, x, CFG)
-            ev_minus = char_series(build(-kappa), x, CFG)
+            ev_plus = char_series(plus, x)
+            ev_minus = char_series(build(-kappa), x)
             assert ev_plus.status is ev_minus.status
             if ev_plus.status is SeriesStatus.CONVERGED:
                 assert abs(ev_plus.value + ev_minus.value) <= \

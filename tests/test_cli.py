@@ -55,7 +55,20 @@ class TestScanCommand:
         assert res.exit_code == 0
         payload = json.loads(res.output)
         assert payload["model"] == "dho"
+        assert payload["parity"] is None
         assert {"x", "F", "status", "branch_id"} <= set(payload["points"][0])
+
+    def test_json_names_the_sector(self, runner):
+        payloads = {}
+        for parity in ("plus", "minus"):
+            res = runner.invoke(cli, [
+                "scan", "--model", "rabi-parity", "--parity", parity,
+                "--kappa", "0.7", "--delta", "0.4", "--x-min", "-1",
+                "--x-max", "1", "--points", "50", "--format", "json"])
+            assert res.exit_code == 0
+            payloads[parity] = json.loads(res.output)
+        assert payloads["plus"]["parity"] == "plus"
+        assert payloads["minus"]["parity"] == "minus"
 
 
 class TestRootsCommand:
@@ -111,9 +124,11 @@ class TestRootsCommand:
         assert res.exit_code == 2
 
     def test_missing_kappa(self, runner):
-        res = runner.invoke(cli, ["roots", "--model", "dho"])
-        assert res.exit_code == 2
-        assert "kappa" in res.output
+        for command in (["roots"], ["scan"], ["flow", "--sweep", "delta:0:0.2:2"]):
+            res = runner.invoke(cli, command + ["--model", "rabi", "--x-max", "0",
+                                                "--points", "100"])
+            assert res.exit_code == 2, command
+            assert "--kappa is required" in res.output
 
     def test_reversed_window(self, runner):
         res = runner.invoke(cli, ["roots", "--model", "dho", "--kappa", "0.7",
@@ -198,22 +213,12 @@ class TestFlowCommand:
 
 @pytest.mark.parametrize("command", [
     ["roots"], ["scan"], ["flow", "--sweep", "kappa:0.5:1:3"]])
-@pytest.mark.parametrize("flag, value, message", [
-    ("--rel-tol", "0", "rel_tol must be positive"),
-    ("--rel-tol", "nan", "rel_tol must be positive"),
-    ("--rel-tol", "inf", "rel_tol must be positive"),
-    ("--max-terms", "0", "max_terms must be >= 1"),
+@pytest.mark.parametrize("flag, value", [
+    ("--omega", "2"), ("--theta", "0.3"),
+    ("--rel-tol", "0"), ("--rel-tol", "nan"), ("--rel-tol", "inf"),
+    ("--max-terms", "0"),
+    ("--x-tol", "nan"), ("--x-tol", "inf"), ("--x-tol", "-1e-10"),
 ])
-def test_bad_series_options_rejected(runner, command, flag, value, message):
-    res = runner.invoke(cli, command + ["--model", "dho", "--kappa", "0.7",
-                                        flag, value])
-    assert res.exit_code == 2
-    assert message in res.output
-
-
-@pytest.mark.parametrize("command", [
-    ["roots"], ["scan"], ["flow", "--sweep", "kappa:0.5:1:3"]])
-@pytest.mark.parametrize("flag, value", [("--omega", "2"), ("--theta", "0.3")])
 def test_removed_options_rejected(runner, command, flag, value):
     res = runner.invoke(cli, command + ["--model", "dho", "--kappa", "0.7",
                                         flag, value])
@@ -221,13 +226,21 @@ def test_removed_options_rejected(runner, command, flag, value):
     assert "No such option" in res.output and flag in res.output
 
 
-@pytest.mark.parametrize("command", [["roots"], ["flow", "--sweep", "kappa:0.5:1:3"]])
-@pytest.mark.parametrize("value", ["nan", "inf", "-1e-10"])
-def test_bad_x_tol_rejected(runner, command, value):
-    res = runner.invoke(cli, command + ["--model", "dho", "--kappa", "0.7",
-                                        "--x-tol", value])
+@pytest.mark.parametrize("command", [
+    ["roots"], ["scan"], ["flow", "--sweep", "kappa:0.5:1:3"]])
+@pytest.mark.parametrize("model, flag, value", [
+    ("dho", "--delta", "0.4"),
+    ("dho", "--parity", "plus"),
+    ("dho", "--parity", "minus"),
+    ("rabi", "--parity", "plus"),
+    ("rabi", "--parity", "minus"),
+])
+def test_unread_model_flags_rejected(runner, command, model, flag, value):
+    res = runner.invoke(cli, command + ["--model", model, "--kappa", "0.7",
+                                        "--x-max", "0", "--points", "100",
+                                        flag, value])
     assert res.exit_code == 2
-    assert "--x-tol must be finite and >= 0" in res.output
+    assert f"{flag} does not apply to model '{model}'" in res.output
 
 
 class TestValidateCommand:
@@ -245,7 +258,7 @@ class TestValidateCommand:
         assert report[0]["ok"] is True
 
     def test_failure_exit_code(self, runner, monkeypatch):
-        def fake(model=None, cfg=None):
+        def fake(model=None):
             return [CheckResult("synthetic", False, "forced failure")]
 
         monkeypatch.setattr("ttrspec.cli.run_validation", fake)

@@ -10,7 +10,6 @@ from ttrspec import (
     NumericsError,
     RabiParams,
     Recurrence,
-    SeriesConfig,
     SeriesStatus,
     bessel_fixture,
     build_hamiltonian,
@@ -290,11 +289,11 @@ class TestLevelCount:
             return 1e-20
 
         shallow = Recurrence(a=a, b=b, profile=AsymptoticProfile(1.0, 0.0, 1.0, 0.0))
-        ev = char_series(shallow, 0.0, SeriesConfig())
+        ev = char_series(shallow, 0.0)
         assert ev.status is SeriesStatus.CONVERGED and ev.terms_used <= 3
 
         rec = dho_recurrence(DhoParams(0.1))
-        ev = char_series(rec, 7.5, SeriesConfig())
+        ev = char_series(rec, 7.5)
         assert ev.status is SeriesStatus.CONVERGED and ev.terms_used == 7
         # levels l - 0.01 for l = 0..7 lie below 7.5; the last negative
         # pivot is p_7, past the series' last term

@@ -12,7 +12,6 @@ from ttrspec import (
     RabiParams,
     Recurrence,
     RootKind,
-    SeriesConfig,
     SeriesStatus,
     build_hamiltonian,
     char_series,
@@ -26,8 +25,6 @@ from ttrspec import (
     resolve_spectrum,
     scan,
 )
-
-CFG = SeriesConfig()
 
 
 def constant_fixture():
@@ -47,20 +44,20 @@ class TestScan:
     def test_validation(self):
         rec = dho_recurrence(DhoParams(0.7))
         with pytest.raises(ValueError):
-            scan(rec, 2.0, 1.0, 100, CFG)
+            scan(rec, 2.0, 1.0, 100)
         with pytest.raises(ValueError):
-            scan(rec, 0.0, 1.0, 8, CFG)
+            scan(rec, 0.0, 1.0, 8)
 
     def test_invariants(self):
         rec = dho_recurrence(DhoParams(0.7))
-        sr = scan(rec, -1.0, 6.0, 500, CFG)
+        sr = scan(rec, -1.0, 6.0, 500)
         assert np.all(np.diff(sr.xs) > 0)
         assert np.all(np.diff(sr.branch_ids) >= 0)
         assert len(sr.fs) == len(sr.xs)
 
     def test_dho_branch_structure(self):
         rec = dho_recurrence(DhoParams(0.7))
-        sr = scan(rec, -1.0, 6.0, 4000, CFG)
+        sr = scan(rec, -1.0, 6.0, 4000)
         n_branches = int(sr.branch_ids[-1]) + 1
         assert n_branches >= 7
         exact = dho_exact_levels(DhoParams(0.7), 6)
@@ -77,7 +74,7 @@ class TestScan:
 
     def test_dho_branches_monotone(self):
         rec = dho_recurrence(DhoParams(0.7))
-        sr = scan(rec, -1.0, 6.0, 2000, CFG)
+        sr = scan(rec, -1.0, 6.0, 2000)
         for branch in range(int(sr.branch_ids[-1]) + 1):
             vals = [f.value for f, b in zip(sr.fs, sr.branch_ids)
                     if b == branch and f.status is SeriesStatus.CONVERGED]
@@ -88,7 +85,7 @@ class TestScan:
 
     def test_constant_fixture_single_branch_no_roots(self):
         rec = constant_fixture()
-        sr = scan(rec, -1.0, 1.0, 200, CFG)
+        sr = scan(rec, -1.0, 1.0, 200)
         assert int(sr.branch_ids[-1]) == 0
         assert all(f.status is SeriesStatus.CONVERGED for f in sr.fs)
         assert all(f.value > 0.9 for f in sr.fs)
@@ -96,7 +93,7 @@ class TestScan:
 
     def test_displaced_rabi_boundaries_at_explicit_poles(self):
         rec = rabi_displaced_recurrence(RabiParams(0.7, 0.4))
-        sr = scan(rec, -1.0, 3.0, 2000, CFG)
+        sr = scan(rec, -1.0, 3.0, 2000)
         bounds = [0.5 * (sr.xs[i - 1] + sr.xs[i])
                   for i in range(1, len(sr.xs))
                   if sr.branch_ids[i] != sr.branch_ids[i - 1]]
@@ -106,7 +103,7 @@ class TestScan:
     def test_grid_points_nudged_off_poles(self):
         rec = rabi_displaced_recurrence(RabiParams(0.7, 0.4))
         # linspace(-1, 3, 2001) hits 0, 1, 2 exactly without the nudge
-        sr = scan(rec, -1.0, 3.0, 2001, CFG)
+        sr = scan(rec, -1.0, 3.0, 2001)
         assert not any(float(x) in (0.0, 1.0, 2.0) for x in sr.xs)
 
     @pytest.mark.parametrize("rec, x_lo, x_hi, points", [
@@ -117,7 +114,7 @@ class TestScan:
         (rabi_displaced_recurrence(RabiParams(0.7, 0.4)), -1.0, 3.0, 2001),
     ])
     def test_grid_counts_equal_scalar_counts(self, rec, x_lo, x_hi, points):
-        sr = scan(rec, x_lo, x_hi, points, CFG)
+        sr = scan(rec, x_lo, x_hi, points)
         assert sr.counts.tolist() == [rec.levels_below(float(x)) for x in sr.xs]
         # the rows are the nudged grid plus the bracket ends of every root
         nudge = 1e-9 * (x_hi - x_lo)
@@ -135,13 +132,13 @@ class TestScan:
                               profile=AsymptoticProfile(0.0, -1.0, 1.0, 1.0),
                               label="mirrored")
         with pytest.raises(NumericsError, match="count falls"):
-            scan(mirrored, -1.5, 2.5, 64, CFG)
+            scan(mirrored, -1.5, 2.5, 64)
 
 
 class TestFindRoots:
     def test_dho_exact_levels(self):
         rec = dho_recurrence(DhoParams(0.7))
-        sr = scan(rec, -1.0, 6.0, 4000, CFG)
+        sr = scan(rec, -1.0, 6.0, 4000)
         roots = find_roots(sr, rec)
         zeros = zeros_of(roots)
         assert len(zeros) == 7
@@ -152,7 +149,7 @@ class TestFindRoots:
 
     def test_no_pole_misclassified_as_zero(self):
         rec = dho_recurrence(DhoParams(0.7))
-        sr = scan(rec, -1.0, 6.0, 4000, CFG)
+        sr = scan(rec, -1.0, 6.0, 4000)
         exact = dho_exact_levels(DhoParams(0.7), 6)
         for root in zeros_of(find_roots(sr, rec)):
             assert min(abs(root.x - e) for e in exact) < 1e-8
@@ -161,19 +158,19 @@ class TestFindRoots:
         for parity, expected, tol in (("minus", -0.707805, 1e-4),
                                       ("plus", -0.4270437, 1e-5)):
             rec = parity_rabi_recurrence(RabiParams(0.7, 0.4), parity)
-            sr = scan(rec, -1.0, 1.0, 1500, CFG)
-            zeros = zeros_of(find_roots(sr, rec, x_tol=1e-12))
+            sr = scan(rec, -1.0, 1.0, 1500)
+            zeros = zeros_of(find_roots(sr, rec))
             assert any(abs(r.x - expected) < tol for r in zeros)
 
     def test_exceptional_point_guard(self):
-        # a pole abscissa declared within 10*x_tol of a refined zero must
+        # a pole abscissa declared within 1e-9 of a refined zero must
         # demote it to PoleCrossing with a note; scan with the clean
         # recurrence so the candidate actually reaches bisection
         base = dho_recurrence(DhoParams(0.7))
         planted = Recurrence(a=base.a, b=base.b, profile=base.profile,
                              explicit_poles=lambda lo, hi: [0.51],
                              label="planted")
-        sr = scan(base, 0.4, 0.6, 64, CFG)
+        sr = scan(base, 0.4, 0.6, 64)
         roots = find_roots(sr, planted)
         assert zeros_of(roots) == []
         flagged = [r for r in pole_crossings_of(roots)
@@ -188,7 +185,7 @@ class TestFindRoots:
         dho = dho_recurrence(DhoParams(0.7))
         doubled = Recurrence(a=dho.a, b=dho.b, profile=dho.profile,
                              sectors=(dho, dho), label="doubled")
-        sr = scan(doubled, -1.0, 2.0, 300, CFG)
+        sr = scan(doubled, -1.0, 2.0, 300)
         roots = find_roots(sr, doubled)
         assert zeros_of(roots) == []
         assert len(roots) == 3
@@ -200,29 +197,9 @@ class TestFindRoots:
         # at kappa = 0.12 the pole next to E = 6 - kappa**2 lies about
         # 1e-14 from the level: one cell holds both, the count certifies it
         p = DhoParams(0.12)
-        zeros = zeros_of(resolve_spectrum("dho", p, (-1.0, 6.5), CFG))
+        zeros = zeros_of(resolve_spectrum("dho", p, (-1.0, 6.5)))
         assert [r.energy for r in zeros] == pytest.approx(
             dho_exact_levels(p, 6), abs=1e-8)
-
-    def test_brackets_narrowed_to_finer_x_tol(self):
-        # scan narrows the cell of each level to 1e-10; find_roots halves
-        # it on to a finer x_tol
-        rec = dho_recurrence(DhoParams(0.7))
-        sr = scan(rec, -1.0, 6.0, 400, CFG)
-        exact = dho_exact_levels(DhoParams(0.7), 6)
-        for x_tol in (1e-10, 1e-13):
-            roots = find_roots(sr, rec, x_tol=x_tol)
-            assert len(roots) == len(exact)
-            for root, level in zip(roots, exact):
-                assert root.bracket[1] - root.bracket[0] <= x_tol
-                assert root.bracket[0] <= level <= root.bracket[1]
-
-    @pytest.mark.parametrize("x_tol", [math.nan, math.inf, -1e-10])
-    def test_bad_x_tol_rejected(self, x_tol):
-        rec = dho_recurrence(DhoParams(0.7))
-        sr = scan(rec, -1.0, 2.0, 64, CFG)
-        with pytest.raises(ValueError, match="x_tol"):
-            find_roots(sr, rec, x_tol=x_tol)
 
 
 class TestResolveSpectrum:
@@ -234,8 +211,8 @@ class TestResolveSpectrum:
                                                        params, window):
         # every char(x) of a solve is made under exactly one of scan and
         # find_roots: one per scan row (the grid plus at most two bracket
-        # ends per level) and at most five per level in find_roots (two
-        # ends and three secant steps)
+        # ends per level) and at most three per level in find_roots (the
+        # secant steps; the bracket ends are the scan's rows)
         import ttrspec.spectrum as spectrum
 
         layers = (spectrum.scan.__code__, spectrum.find_roots.__code__)
@@ -258,23 +235,23 @@ class TestResolveSpectrum:
 
         monkeypatch.setattr(spectrum, "char_series", counting)
         monkeypatch.setattr(spectrum, "scan", recording_scan)
-        roots = resolve_spectrum(model, params, window, CFG, points=4000)
+        roots = resolve_spectrum(model, params, window, points=4000)
         assert roots
         assert all(len(c) == 1 for c in callers)
         assert callers.count(layers[:1]) == sum(rows)
         assert sum(rows) <= 4000 * len(rows) + 2 * len(roots)
-        assert len(callers) - sum(rows) <= 5 * len(roots)
+        assert len(callers) - sum(rows) <= 3 * len(roots)
 
     def test_dho_energies(self):
         roots = zeros_of(resolve_spectrum("dho", DhoParams(0.7), (-1.0, 6.0),
-                                          CFG, points=2000))
+                                          points=2000))
         assert [r.energy for r in roots] == pytest.approx(
             dho_exact_levels(DhoParams(0.7), 6), abs=1e-8)
         assert all(r.parity is None for r in roots)
 
     def test_parity_window_contains_quoted_energies(self):
         roots = zeros_of(resolve_spectrum("rabi-parity", RabiParams(0.7, 0.4),
-                                          (-1.0, 1.0), CFG, points=1500))
+                                          (-1.0, 1.0), points=1500))
         minus = [r for r in roots if r.parity == -1]
         plus = [r for r in roots if r.parity == 1]
         assert abs(minus[0].energy - (-0.707805)) < 1e-4
@@ -282,33 +259,32 @@ class TestResolveSpectrum:
         assert [r.energy for r in roots] == sorted(r.energy for r in roots)
 
     def test_displaced_frame_matches_parity_energies(self):
+        # both brackets are at most 1e-10 wide
         window = (-1.0, 1.0)
-        x_tol = 1e-10
         parity = zeros_of(resolve_spectrum("rabi-parity", RabiParams(0.7, 0.4),
-                                           window, CFG, points=1500, x_tol=x_tol))
+                                           window, points=1500))
         displaced = zeros_of(resolve_spectrum("rabi", RabiParams(0.7, 0.4),
-                                              window, CFG, points=1500,
-                                              x_tol=x_tol))
+                                              window, points=1500))
         assert len(parity) == len(displaced)
         for a, b in zip(parity, displaced):
-            assert abs(a.energy - b.energy) <= 2 * x_tol
+            assert abs(a.energy - b.energy) <= 2e-10
 
     def test_displaced_frame_x_is_shifted(self):
         displaced = zeros_of(resolve_spectrum("rabi", RabiParams(0.7, 0.4),
-                                              (-1.0, 1.0), CFG, points=1500))
+                                              (-1.0, 1.0), points=1500))
         for r in displaced:
             assert r.x - r.energy == pytest.approx(0.49)
 
     def test_single_parity_selection(self):
         only_minus = zeros_of(resolve_spectrum(
-            "rabi-parity", RabiParams(0.7, 0.4), (-1.0, 1.0), CFG,
+            "rabi-parity", RabiParams(0.7, 0.4), (-1.0, 1.0),
             parity="minus", points=1000))
         assert all(r.parity == -1 for r in only_minus)
         both = zeros_of(resolve_spectrum(
-            "rabi-parity", RabiParams(0.7, 0.4), (-1.0, 1.0), CFG,
+            "rabi-parity", RabiParams(0.7, 0.4), (-1.0, 1.0),
             parity="both", points=1000))
         only_plus = zeros_of(resolve_spectrum(
-            "rabi-parity", RabiParams(0.7, 0.4), (-1.0, 1.0), CFG,
+            "rabi-parity", RabiParams(0.7, 0.4), (-1.0, 1.0),
             parity="plus", points=1000))
         assert only_minus == [r for r in both if r.parity == -1]
         assert only_plus == [r for r in both if r.parity == 1]
@@ -316,7 +292,7 @@ class TestResolveSpectrum:
 
     def test_window_validation(self):
         with pytest.raises(ValueError):
-            resolve_spectrum("dho", DhoParams(0.7), (2.0, -1.0), CFG)
+            resolve_spectrum("dho", DhoParams(0.7), (2.0, -1.0))
 
     @pytest.mark.parametrize("kappa", [1.0, math.sqrt(2.0)])
     def test_dho_levels_on_coefficient_zeros(self, kappa):
@@ -325,7 +301,7 @@ class TestResolveSpectrum:
         p = DhoParams(kappa)
         exact = [e for e in dho_exact_levels(p, 10) if -1.5 <= e <= 6.5]
         assert len(exact) == 8
-        zeros = zeros_of(resolve_spectrum("dho", p, (-1.5, 6.5), CFG))
+        zeros = zeros_of(resolve_spectrum("dho", p, (-1.5, 6.5)))
         assert [r.energy for r in zeros] == pytest.approx(exact, abs=1e-8)
 
 
@@ -362,7 +338,7 @@ class TestOracleGrid:
         for delta in (0.0, 0.2, 0.5, 0.9, 1.5):
             p = RabiParams(kappa, delta)
             window = (-kappa * kappa - delta - 0.5, self.E_HI)
-            roots = resolve_spectrum("rabi-parity", p, window, CFG, points=1000)
+            roots = resolve_spectrum("rabi-parity", p, window, points=1000)
             assert all(r.classification is RootKind.ZERO for r in roots)
             k = 2 * math.ceil(self.E_HI + kappa * kappa + delta) + 4
             spec = eigen_lowest(build_hamiltonian("rabi", p, 200), k)
@@ -374,24 +350,24 @@ class TestOracleGrid:
 class TestDeterminism:
     def test_scan_bitwise_stable(self):
         rec = parity_rabi_recurrence(RabiParams(0.7, 0.4), "plus")
-        a = scan(rec, -1.0, 2.0, 700, CFG)
-        b = scan(rec, -1.0, 2.0, 700, CFG)
+        a = scan(rec, -1.0, 2.0, 700)
+        b = scan(rec, -1.0, 2.0, 700)
         assert np.array_equal(a.xs, b.xs)
         assert np.array_equal(a.branch_ids, b.branch_ids)
         assert [f.value for f in a.fs] == [f.value for f in b.fs]
 
     def test_resolve_bitwise_stable(self):
         first = resolve_spectrum("rabi-parity", RabiParams(0.7, 0.4),
-                                 (-1.0, 1.0), CFG, points=900)
+                                 (-1.0, 1.0), points=900)
         second = resolve_spectrum("rabi-parity", RabiParams(0.7, 0.4),
-                                  (-1.0, 1.0), CFG, points=900)
+                                  (-1.0, 1.0), points=900)
         assert first == second
 
 
 class TestFlow:
     def test_degenerate_pairs_at_delta_zero(self):
         result = flow("rabi-parity", RabiParams(0.7, 0.0),
-                      ("delta", 0.0, 0.2, 4), (-1.0, 2.3), CFG, points=900)
+                      ("delta", 0.0, 0.2, 4), (-1.0, 2.3), points=900)
         exact = dho_exact_levels(DhoParams(0.7), 2)
         at_zero = sorted(r.energy for r in result.levels[0])
         assert len(at_zero) == 6
@@ -401,7 +377,7 @@ class TestFlow:
 
     def test_pairs_split_monotonically(self):
         result = flow("rabi-parity", RabiParams(0.7, 0.0),
-                      ("delta", 0.0, 0.2, 5), (-1.0, 2.3), CFG, points=900)
+                      ("delta", 0.0, 0.2, 5), (-1.0, 2.3), points=900)
         assert len(result.tracks) == 6
         by_start = {}
         for track in result.tracks:
@@ -423,7 +399,7 @@ class TestFlow:
                 # levels of opposite parity cross inside this sweep
                 (0.23, ("delta", 0.28, 1.28, 6), (-1.0, 2.5), 400)):
             result = flow("rabi-parity", RabiParams(kappa, 0.0), sweep, window,
-                          CFG, points=points)
+                          points=points)
             for track in result.tracks:
                 parities = {r.parity for _, r in track}
                 assert len(parities) == 1
@@ -440,9 +416,9 @@ class TestFlow:
 
     def test_single_step_sweep_reduces_to_resolve(self):
         result = flow("rabi-parity", RabiParams(0.7, 0.4),
-                      ("delta", 0.4, 0.4, 1), (-1.0, 1.0), CFG, points=900)
+                      ("delta", 0.4, 0.4, 1), (-1.0, 1.0), points=900)
         direct = zeros_of(resolve_spectrum("rabi-parity", RabiParams(0.7, 0.4),
-                                           (-1.0, 1.0), CFG, points=900))
+                                           (-1.0, 1.0), points=900))
         assert result.levels[0] == direct
         assert len(result.tracks) == len(direct)
 
@@ -452,8 +428,8 @@ class TestFlow:
 
         monkeypatch.setattr("ttrspec.spectrum.resolve_spectrum", no_solve)
         with pytest.raises(ValueError, match="steps"):
-            flow("dho", DhoParams(0.7), ("kappa", 0.5, 1.0, 0), (-1.0, 1.0), CFG)
+            flow("dho", DhoParams(0.7), ("kappa", 0.5, 1.0, 0), (-1.0, 1.0))
         with pytest.raises(ValueError, match="parameter"):
-            flow("dho", DhoParams(0.7), ("theta", 0.0, 1.0, 3), (-1.0, 1.0), CFG)
+            flow("dho", DhoParams(0.7), ("theta", 0.0, 1.0, 3), (-1.0, 1.0))
         with pytest.raises(ValueError, match="kappa must be nonzero"):
-            flow("dho", DhoParams(0.7), ("kappa", -0.5, 0.5, 3), (-1.0, 1.0), CFG)
+            flow("dho", DhoParams(0.7), ("kappa", -0.5, 0.5, 3), (-1.0, 1.0))
