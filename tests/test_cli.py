@@ -217,13 +217,23 @@ class TestFlowCommand:
     ("--omega", "2"), ("--theta", "0.3"),
     ("--rel-tol", "0"), ("--rel-tol", "nan"), ("--rel-tol", "inf"),
     ("--max-terms", "0"),
-    ("--x-tol", "nan"), ("--x-tol", "inf"), ("--x-tol", "-1e-10"),
 ])
 def test_removed_options_rejected(runner, command, flag, value):
     res = runner.invoke(cli, command + ["--model", "dho", "--kappa", "0.7",
                                         flag, value])
     assert res.exit_code == 2
     assert "No such option" in res.output and flag in res.output
+
+
+@pytest.mark.parametrize("command", [
+    ["roots"], ["flow", "--sweep", "kappa:0.5:1:3"], ["scan"]])
+@pytest.mark.parametrize("value", ["nan", "inf", "-1e-10"])
+def test_bad_x_tol_rejected(runner, command, value):
+    # the bracket tolerance is fixed, so no command takes --x-tol at all
+    res = runner.invoke(cli, command + ["--model", "dho", "--kappa", "0.7",
+                                        "--x-tol", value])
+    assert res.exit_code == 2
+    assert "No such option" in res.output and "--x-tol" in res.output
 
 
 @pytest.mark.parametrize("command", [
