@@ -61,9 +61,7 @@ class CharEval:
     """One evaluation of the characteristic series.
 
     ``last_term`` is the magnitude of the final product rho_1...rho_k.
-    A value taken from the backward fraction (see ``char_series``) has
-    ``terms_used`` 0 and ``last_term`` the gap between its last two
-    approximants, or 0 once they agree.  status POLE means a u_l denominator fell inside the pole guard, the
+    status POLE means a u_l denominator fell inside the pole guard, the
     numerical signature of m_0 = 0 where the fraction (and the series)
     genuinely diverges; scanners treat such points as branch boundaries.
     """
@@ -83,23 +81,22 @@ def char_series(rec: Recurrence, x: float) -> CharEval:
     It stops with MaxTermsReached after 20000 terms, and with
     PoleDetected where a u_l denominator falls below 1e-12.
 
-    The transform divides by every a_l (l >= 1), so at an exact zero of
-    one it is undefined although char(x) is not: the zero enters the
-    fraction only as a_l + r_l.  There the value is a_0 + ``ratio_cf``
-    instead (MaxTermsReached if the backward passes do not agree).
-
     Parameters
     ----------
     rec : Recurrence
         Coefficient functions and metadata.
     x : float
-        Energy parameter; must not sit on an explicit coefficient pole,
-        where the coefficient functions raise CoefficientPoleError.
+        Energy parameter; must not sit on an explicit coefficient pole.
+
+    Raises
+    ------
+    CoefficientPoleError
+        If some a_l with l >= 1 vanishes (the transform needs a_l != 0).
     """
     a0 = rec.a(0, x)
     a_prev = rec.a(1, x)
     if a_prev == 0.0:
-        return _backward_char(rec, x, a0)
+        raise CoefficientPoleError("coefficient pole at level 1")
     term = -rec.b(1, x) / a_prev
     total = a0 + term
     u_prev = 1.0
@@ -112,7 +109,7 @@ def char_series(rec: Recurrence, x: float) -> CharEval:
         a_l = rec.a(l, x)
         b_l = rec.b(l, x)
         if a_l == 0.0:
-            return _backward_char(rec, x, a0)
+            raise CoefficientPoleError(f"coefficient pole at level {l}")
         denom = 1.0 - u_prev * b_l / (a_l * a_prev)
         if abs(denom) < _POLE_GUARD:
             return CharEval(total, l - 1, SeriesStatus.POLE, abs(term))
@@ -128,15 +125,6 @@ def char_series(rec: Recurrence, x: float) -> CharEval:
         u_prev = u
         a_prev = a_l
     return CharEval(total, _MAX_TERMS, SeriesStatus.MAX_TERMS, abs(term))
-
-
-def _backward_char(rec: Recurrence, x: float, a0: float) -> CharEval:
-    """a_0 + r_0 by the backward continued fraction, for ``char_series``."""
-    try:
-        return CharEval(a0 + ratio_cf(rec, x), 0, SeriesStatus.CONVERGED, 0.0)
-    except NonConvergenceError as exc:
-        return CharEval(a0 + exc.last, 0, SeriesStatus.MAX_TERMS,
-                        abs(exc.last - exc.previous))
 
 
 def char_partial_sums(rec: Recurrence, x: float, k_max: int) -> list[float]:

@@ -237,6 +237,8 @@ def flow(model, kappa, delta, parity, points, x_min, x_max, sweep, out, fmt):
         raise click.UsageError("--sweep bounds must be finite")
     if name not in ("delta", "kappa"):
         raise click.UsageError("sweep parameter must be delta or kappa")
+    if name == "kappa" and kappa is None:
+        kappa = lo  # every step sets kappa, so the sweep's start stands in
     params = _params_for(model, kappa, delta, parity)
     if not hasattr(params, name):
         raise click.UsageError(

@@ -129,6 +129,12 @@ class TestRootsCommand:
                                                 "--points", "100"])
             assert res.exit_code == 2, command
             assert "--kappa is required" in res.output
+        # a kappa sweep sets kappa at every step, so it needs no --kappa
+        base = ["flow", "--model", "dho", "--sweep", "kappa:0.6:0.8:2",
+                "--x-min", "-1", "--x-max", "0.8", "--points", "100"]
+        res = runner.invoke(cli, base)
+        assert res.exit_code == 0, res.output
+        assert res.output == runner.invoke(cli, base + ["--kappa", "0.7"]).output
 
     def test_reversed_window(self, runner):
         res = runner.invoke(cli, ["roots", "--model", "dho", "--kappa", "0.7",

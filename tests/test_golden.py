@@ -22,7 +22,7 @@ GOLDEN = [
      "--format csv",
      "d98d5d9c50abaa8f28f922da08252d50"),
     ("scan --model dho --kappa 0.7 --x-min -1 --x-max 2 --points 200",
-     "ea7ab0c99e4d9d15021752cf59c71142"),
+     "8b10368f353f124952fc9463a48ea51c"),
     ("scan --model rabi-parity --parity minus --kappa 0.7 --delta 0.4 --x-min -1 "
      "--x-max 1 --points 300",
      "8b6d6a1fe97459f04a584cd6d57e58ea"),
