@@ -158,7 +158,7 @@ def classify(profile: AsymptoticProfile) -> AdmissibilityReport:
 
 
 #: levels the count may walk before it must have settled (like the
-#: ``max_depth`` cap of ``ratio_cf``): a safety limit, not a tolerance
+#: ``_CF_MAX_DEPTH`` cap of ``ratio_cf``): a safety limit, not a tolerance
 _MAX_LEVELS = 1 << 20
 
 
