@@ -267,7 +267,8 @@ def flow(model, kappa, delta, parity, points, x_min, x_max, sweep, out, fmt):
     else:
         payload = {
             "model": model,
-            "params": dataclasses.asdict(params),
+            # every step sets the swept field, so report the sweep's start
+            "params": {**dataclasses.asdict(params), name: lo},
             "sweep": {"name": name, "lo": lo, "hi": hi, "steps": steps},
             "tracks": [
                 {

@@ -216,6 +216,22 @@ class TestFlowCommand:
                                     "steps": 2}
         assert payload["tracks"]
 
+    @pytest.mark.parametrize("model, sweep, flag, values", [
+        ("dho", "kappa:0.6:0.8:2", "--kappa", ("0.7", "5")),
+        ("rabi-parity", "delta:0:0.2:2", "--delta", ("0.3", "5")),
+    ])
+    def test_json_params_ignore_the_swept_flag(self, runner, model, sweep, flag,
+                                               values):
+        # every step sets the swept field, so its flag value changes nothing
+        base = ["flow", "--model", model, "--kappa", "0.7", "--sweep", sweep,
+                "--x-min", "-1", "--x-max", "0.8", "--points", "200",
+                "--format", "json"]
+        outs = [runner.invoke(cli, base + [flag, v]) for v in values]
+        assert all(res.exit_code == 0 for res in outs), outs[0].output
+        assert outs[0].stdout == outs[1].stdout
+        name, lo = sweep.split(":")[:2]
+        assert json.loads(outs[0].stdout)["params"][name] == float(lo)
+
 
 @pytest.mark.parametrize("command", [
     ["roots"], ["scan"], ["flow", "--sweep", "kappa:0.5:1:3"]])

@@ -31,7 +31,7 @@ GOLDEN = [
      "754d65efc110c3535801cdd081054ac4"),
     ("flow --model dho --kappa 0.7 --sweep kappa:0.6:0.8:2 --x-min -1 --x-max 0.8 "
      "--points 300 --format json",
-     "7a2d3a3bdba66e5d1fa1bf675e4cfcb3"),
+     "82540d044412dd90c2f6ae111783ef6d"),
 ]
 
 

@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from ttrspec import oracle
 from ttrspec import (
     DhoParams,
     GenRabiParams,
@@ -16,7 +19,7 @@ from ttrspec import (
     jc_exact_levels,
     laguerre_dominant,
 )
-from ttrspec.oracle import laguerre_ratio, _parity_expectations
+from ttrspec.oracle import _blocks, _label, _parity_expectations, laguerre_ratio
 
 ALL_TAGS = ["dho", "rabi", "jc", "gen-rabi", "rabi-modified"]
 
@@ -115,6 +118,95 @@ class TestEigenLowest:
             eigen_lowest(h, 2, 1e-10)
         assert len(err.value.last) == 2
         assert len(err.value.previous) == 2
+
+
+class TestBlockDiagonalization:
+    """``eigen_lowest`` diagonalizes each block of the nonzero pattern alone."""
+
+    @staticmethod
+    def _final_matrix(monkeypatch, tag, p, cutoff, k, tol):
+        built = []
+        real_build = oracle.build_hamiltonian
+
+        def recording(*args):
+            built.append(real_build(*args))
+            return built[-1]
+
+        monkeypatch.setattr(oracle, "build_hamiltonian", recording)
+        spec = eigen_lowest(real_build(tag, p, cutoff), k, tol)
+        return spec, built[-1] if built else None
+
+    @pytest.mark.parametrize("tag", ALL_TAGS)
+    def test_values_and_labels_match_dense(self, monkeypatch, tag):
+        k = 10
+        spec, final = self._final_matrix(monkeypatch, tag, params_for(tag), 48, k, 1e-10)
+        assert final is not None and final.cutoff > 48
+        vals, vecs = np.linalg.eigh(final.entries)
+        assert np.max(np.abs(np.array(spec.eigenvalues)
+                             - np.linalg.eigvalsh(final.entries)[:k])) < 1e-12
+        dense = _parity_expectations(tag, vecs[:, :k])
+        for i in range(k):
+            gap = min(abs(vals[i] - vals[j]) for j in (i - 1, i + 1) if j >= 0)
+            if gap > 1e-9:
+                want = None if dense is None else _label(dense[i])
+                assert spec.parities[i] == want, i
+
+    def test_degenerate_pairs_keep_their_own_labels(self):
+        # at delta = 0 every Rabi level is a degenerate pair, one per chain
+        spec = eigen_lowest(build_hamiltonian("rabi", RabiParams(0.7, 0.0), 64),
+                            8, 1e-10)
+        for i in range(0, 8, 2):
+            assert abs(spec.eigenvalues[i] - spec.eigenvalues[i + 1]) < 1e-9
+            assert sorted(spec.parities[i:i + 2]) == [-1, 1]
+
+    def test_block_sizes(self):
+        sizes = {tag: sorted(len(b) for b in _blocks(
+            build_hamiltonian(tag, params_for(tag), 64).entries))
+            for tag in ALL_TAGS}
+        # the lower state at n = 0 has no partner, and the partner of the
+        # top upper state lies beyond the cutoff
+        assert sizes["jc"] == [1, 1] + [2] * 63
+        assert sizes["rabi"] == [64, 64]
+        assert sizes["rabi-modified"] == [64, 64]
+        assert sizes["dho"] == [64]
+        assert sizes["gen-rabi"] == [128]
+
+    def test_blocks_of_a_shuffled_basis(self):
+        # numbered out of chain order, a chain needs several hooking rounds
+        perm = np.random.default_rng(7).permutation(32)
+        entries = build_hamiltonian("rabi", RabiParams(0.7, 0.4), 16).entries
+        shuffled = entries[np.ix_(perm, perm)]
+        blocks = _blocks(shuffled)
+        assert sorted(len(b) for b in blocks) == [16, 16]
+        assert np.array_equal(np.sort(np.concatenate(blocks)), np.arange(32))
+        a, b = blocks
+        assert not np.any(shuffled[np.ix_(a, b)])
+
+    def test_no_solver_call_wider_than_the_cutoff(self, monkeypatch):
+        widths = []
+        for name in ("eigh", "eigvalsh"):
+            real = getattr(np.linalg, name)
+
+            def recording(a, *args, _real=real, **kwargs):
+                widths.append(a.shape[-1])
+                return _real(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, recording)
+        spec = eigen_lowest(build_hamiltonian("rabi", RabiParams(0.7, 0.4), 100),
+                            14, 1e-8)
+        assert spec.converged_count == 14
+        assert set(widths) == {100, 200}
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+    def test_bad_tol_rejected_before_any_solve(self, monkeypatch, tol):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("diagonalized before rejecting tol")
+
+        monkeypatch.setattr(np.linalg, "eigh", forbidden)
+        monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
+        h = build_hamiltonian("rabi", RabiParams(0.7, 0.4), 64)
+        with pytest.raises(ValueError, match="tol"):
+            eigen_lowest(h, 4, tol)
 
 
 class TestModifiedRabi:
