@@ -101,7 +101,11 @@ def rabi_displaced_recurrence(p: RabiParams) -> Recurrence:
     c_{n+1} - f_n(x)/(n+1) c_n + 1/(n+1) c_{n-1} = 0 with
     f_n(x) = 2 kappa + (n - x - delta**2/(n - x)) / (2 kappa); the
     energy variable is shifted, x = E/omega + kappa**2.  For delta != 0
-    the coefficients are singular at every nonnegative integer x.
+    the coefficients are singular at every nonnegative integer x.  The
+    coefficients are not a linear pencil in x, so the levels are counted
+    through the two parity sectors at every delta; at delta = 0 the
+    sectors coincide, and each zero of the recurrence is a degenerate
+    pair of levels.
     """
     kappa, delta = p.kappa, p.delta
     d2 = delta * delta
@@ -128,8 +132,8 @@ def rabi_displaced_recurrence(p: RabiParams) -> Recurrence:
         n1 = math.ceil(x_hi) - 1
         return [float(n) for n in range(n0, n1 + 1)]
 
-    sectors = () if delta == 0.0 else tuple(
-        parity_rabi_recurrence(p, parity) for parity in (PARITY_PLUS, PARITY_MINUS))
+    sectors = tuple(parity_rabi_recurrence(p, parity)
+                    for parity in (PARITY_PLUS, PARITY_MINUS))
     profile = AsymptoticProfile(delta=0.0, upsilon=-1.0,
                                 a_coef=-1.0 / (2.0 * kappa), b_coef=1.0)
     return Recurrence(a=a, b=b, profile=profile, explicit_poles=poles,

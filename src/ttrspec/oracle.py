@@ -119,7 +119,8 @@ def _gen_rabi_matrix(p: GenRabiParams, cutoff: int) -> np.ndarray:
 
 def _modified_rabi_matrix(p: RabiParams, cutoff: int) -> np.ndarray:
     # plane-wave coupling i kappa sigma1 (a^+ - a); the phase rotation
-    # |n> -> i**n |n> turns it into the standard real coupling.
+    # |n> -> i**n |n>, with exact powers of i, turns it into the standard
+    # real coupling.
     d = 2 * cutoff
     hc = np.zeros((d, d), dtype=complex)
     for n in range(cutoff):
@@ -131,7 +132,7 @@ def _modified_rabi_matrix(p: RabiParams, cutoff: int) -> np.ndarray:
                 i, j = 2 * (n + 1) + (1 - s), 2 * n + s
                 hc[i, j] = 1j * c
                 hc[j, i] = -1j * c
-    u = np.repeat(1j ** np.arange(cutoff), 2)
+    u = np.repeat(np.array([1, 1j, -1, -1j])[np.arange(cutoff) % 4], 2)
     hr = np.conj(u)[:, None] * hc * u[None, :]
     residue = float(np.max(np.abs(hr.imag)))
     if residue > 1e-12:

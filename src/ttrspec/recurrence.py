@@ -94,7 +94,8 @@ class Recurrence:
     energy_shift: float = 0.0
     label: str = ""
     #: recurrences whose levels, taken together, are this one's levels
-    #: (for a model whose coefficients are not a linear pencil in x)
+    #: (for a model whose coefficients are not a linear pencil in x); a
+    #: level of several sectors at once is counted once per sector
     sectors: tuple["Recurrence", ...] = ()
 
     def levels_below(self, x: float | np.ndarray) -> int | np.ndarray:

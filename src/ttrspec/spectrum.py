@@ -4,19 +4,19 @@ The characteristic function is a chain of discontinuous branches, so a
 sign change on a grid may be a zero or a pole.  ``Recurrence.levels_below``
 counts the levels below x exactly, from the signs of the recurrence's
 forward pivots, and that count alone isolates every level: a cell whose
-count rises by one holds exactly one (Sturm bisection; Barth, Martin &
+count rises by m holds exactly m (Sturm bisection; Barth, Martin &
 Wilkinson, 1967).
 
 ``scan`` tabulates char(x) and the count on a grid.  A cell changes sign
 once per zero and once per pole, so a sign change that the count does
 not account for (above all, one across a cell with no level) is a pole
 and ends a branch, as do explicit coefficient poles and PoleDetected
-points.  ``scan`` also splits its cells on the count until each holds
-one level and narrows each to 1e-10; ``find_roots`` polishes every level
-from the scan's char(x) at the ends of its cell and up to three secant
-steps inside it.  The count assumes a recurrence whose coefficients
-form a pencil of the shipped orientation (see ``Recurrence``);
-NumericsError is raised where it falls.
+points.  ``scan`` also halves every cell whose count rises down to
+1e-10; ``find_roots`` polishes each such cell once, from the scan's
+char(x) at its ends and up to three secant steps inside it, and returns
+one root per level the count puts there.  The count assumes a
+recurrence whose coefficients form a pencil of the shipped orientation
+(see ``Recurrence``); NumericsError is raised where it falls.
 """
 
 from __future__ import annotations
@@ -35,11 +35,7 @@ from .recurrence import Recurrence
 
 #: grid points this close (relative to span) to an explicit pole are nudged
 _POLE_NUDGE = 1e-9
-#: a cell holding several levels is not halved below this fraction of the
-#: window: two levels closer than that (degenerate, or of different
-#: sectors) stay in one cell
-_HALVING_FLOOR = 1e-12
-#: width to which ``scan`` narrows the cell of each level; a Zero within
+#: width to which ``scan`` narrows every cell whose count rises; a Zero within
 #: 10*_X_TOL of an explicit coefficient pole is a possible exceptional point
 _X_TOL = 1e-10
 
@@ -53,13 +49,14 @@ class RootKind(Enum):
 class ScanResult:
     """Grid evaluation of the characteristic function with level counts.
 
-    ``xs`` are the grid plus the ends of the cell of every level, and
-    ``counts[i]`` is the number of levels below ``xs[i]``, so the cells
-    hold the levels in [xs[0], xs[-1]); a level within rounding of an end
-    may fall on either side of it.  ``branch_ids`` are non-decreasing and
-    increment across every cell that holds an explicit coefficient pole, touches a PoleDetected
-    point, or changes sign a number of times the count does not account
-    for (a pole).
+    ``xs`` are the grid plus the ends of the 1e-10 cell of every level
+    (levels closer than that share one cell), and ``counts[i]`` is the
+    number of levels below ``xs[i]``, so the cells hold the levels in
+    [xs[0], xs[-1]); a level within rounding of an end may fall on either
+    side of it.  ``branch_ids`` are non-decreasing and increment across
+    every cell that holds an explicit coefficient pole, touches a
+    PoleDetected point, or changes sign a number of times the count does
+    not account for (a pole).
     """
 
     xs: np.ndarray
@@ -73,10 +70,11 @@ class Root:
     """One level isolated by the count, classified as Zero or PoleCrossing.
 
     ``index`` is the level's Sturm index: the number of levels of its
-    recurrence below it (for a PoleCrossing holding several levels, below
-    the lowest of them).  The levels of one parity sector are simple
-    eigenvalues of a Jacobi pencil and never cross, so (parity, index)
-    names the same level at every value of a swept parameter.
+    recurrence below it.  Levels closer than 1e-10 share one cell and
+    one x, and come back as one root each, with consecutive indices.
+    The levels of one parity sector are simple eigenvalues of a Jacobi
+    pencil and never cross, so (parity, index) names the same level at
+    every value of a swept parameter.
     """
 
     x: float
@@ -97,12 +95,8 @@ class FlowResult:
     level: the Zero roots of one (parity, ``Root.index``) identity, in
     the order the tracks first appear (by sweep step, then as in
     ``levels``).  A level that leaves the window and comes back keeps its
-    track.  The identity holds within one sector structure of the
-    model's recurrences: the displaced-frame ``rabi`` recurrence is one
-    ladder at delta = 0 and two parity sectors elsewhere, so its roots at
-    delta = 0 and at delta != 0 lie on different tracks.  ``rabi`` roots
-    carry no parity label, so each of its tracks is its k-th level for
-    one k.
+    track.  ``rabi`` roots carry no parity label, so each of its tracks
+    is its k-th level for one k.
     """
 
     sweep_values: list[float]
@@ -122,25 +116,24 @@ def _isolate(rec: Recurrence, xs: list[float],
     """The cells (lo, hi, count_lo, count_hi) that hold the levels counted
     between consecutive ``xs``, in ascending order.
 
-    A cell holding several levels is halved on the count down to 1e-12 of
-    [xs[0], xs[-1]], and a cell holding one level down to 1e-10.
-    NumericsError is raised where the count falls.
+    Every cell whose count rises is halved on the count down to 1e-10, so
+    a cell still holding several levels holds levels closer than that
+    (degenerate, or of different sectors).  NumericsError is raised where
+    the count falls.
     """
-    floor = _HALVING_FLOOR * (xs[-1] - xs[0])
     stack = list(zip(xs, xs[1:], counts, counts[1:]))[::-1]
     cells = []
     while stack:
         lo, hi, c_lo, c_hi = stack.pop()
-        rise = c_hi - c_lo
-        if rise < 0:
+        if c_hi < c_lo:
             raise NumericsError(
                 f"level count falls from {c_lo} to {c_hi} across [{lo}, {hi}] "
                 f"in '{rec.label}': its coefficients are not a pencil of the "
                 "orientation the count assumes")
-        if rise == 0:
+        if c_hi == c_lo:
             continue
         mid = 0.5 * (lo + hi)
-        if hi - lo > (_X_TOL if rise == 1 else floor) and lo < mid < hi:
+        if hi - lo > _X_TOL and lo < mid < hi:
             c_mid = rec.levels_below(mid)
             stack += [(mid, hi, c_mid, c_hi), (lo, mid, c_lo, c_mid)]
         else:
@@ -157,12 +150,11 @@ def scan(rec: Recurrence, x_lo: float, x_hi: float, points: int) -> ScanResult:
     Grid points that coincide with explicit coefficient poles are
     perturbed by 1e-9 of the window width.  The grid is counted in one
     array call to ``rec.levels_below``, and each cell whose count rises
-    is halved on the count alone: a cell holding several levels down to
-    1e-12 of the window (two levels closer than that stay in one cell),
-    one holding one level down to 1e-10, across which char(x) then
-    changes sign unless a pole lies as close.  The ends of these cells
-    join the grid, and each returned x carries exactly one evaluation of
-    char(x).
+    is halved on the count alone down to 1e-10; a cell then holding one
+    level changes sign across it unless a pole lies as close, and one
+    holding several holds levels closer than 1e-10.  The ends of these
+    cells join the grid, and each returned x carries exactly one
+    evaluation of char(x).
     """
     if not x_lo < x_hi:
         raise ValueError("x_lo must be < x_hi")
@@ -232,16 +224,15 @@ def _polish(rec: Recurrence, lo: float, f_lo: CharEval, hi: float,
 def find_roots(sr: ScanResult, rec: Recurrence) -> list[Root]:
     """Locate every level the scan's counts place in [xs[0], xs[-1]).
 
-    Each pair of consecutive scan rows whose count rises is the cell of a
-    level, which ``scan`` has narrowed to 1e-10 on the count.  A cell
-    holding one level is polished from the scan's char(x) at its ends and
-    up to three secant steps, and the point of smallest |char| is
-    returned as a Zero with that residual.  A Zero within 1e-9 of an
-    explicit coefficient pole is returned as a PoleCrossing noted as a
-    possible exceptional point, outside the regular spectrum.  A cell
-    that still holds more than one level (closer than 1e-12 of the
-    window) is returned as one PoleCrossing whose note gives the count,
-    so no level is dropped silently.
+    Each pair of consecutive scan rows whose count rises by m is the cell
+    of m levels, which ``scan`` has narrowed to 1e-10 on the count.  The
+    cell is polished once, from the scan's char(x) at its ends and up to
+    three secant steps, and its point of smallest |char| is returned m
+    times, with that residual and indices count_lo ... count_hi - 1: a
+    cell holding several levels holds levels closer than 1e-10, such as
+    a degenerate pair.  A root within 1e-9 of an explicit coefficient
+    pole is returned as a PoleCrossing noted as a possible exceptional
+    point, outside the regular spectrum; every other root is a Zero.
     """
     xs = sr.xs.tolist()
     poles = sorted(rec.explicit_poles(xs[0], xs[-1]))
@@ -250,19 +241,15 @@ def find_roots(sr: ScanResult, rec: Recurrence) -> list[Root]:
     for (lo, f_lo, c_lo), (hi, f_hi, c_hi) in zip(rows, rows[1:]):
         if c_hi == c_lo:
             continue
-        if c_hi - c_lo > 1:
-            x, f = 0.5 * (lo + hi), math.inf
-            kind = RootKind.POLE_CROSSING
-            note = f"unresolved count: {c_hi - c_lo} levels in one cell"
+        x, f = _polish(rec, lo, f_lo, hi, f_hi)
+        if any(abs(x - p) <= 10.0 * _X_TOL for p in poles):
+            kind, note = RootKind.POLE_CROSSING, "possible exceptional point"
         else:
-            x, f = _polish(rec, lo, f_lo, hi, f_hi)
-            if any(abs(x - p) <= 10.0 * _X_TOL for p in poles):
-                kind, note = RootKind.POLE_CROSSING, "possible exceptional point"
-            else:
-                kind, note = RootKind.ZERO, ""
-        roots.append(Root(x=x, energy=rec.energy_of(x), residual=abs(f),
-                          bracket=(lo, hi), index=c_lo, parity=None,
-                          classification=kind, note=note))
+            kind, note = RootKind.ZERO, ""
+        roots += [Root(x=x, energy=rec.energy_of(x), residual=abs(f),
+                       bracket=(lo, hi), index=index, parity=None,
+                       classification=kind, note=note)
+                  for index in range(c_lo, c_hi)]
     return roots
 
 
@@ -299,8 +286,7 @@ def flow(model: str, params, sweep: tuple[str, float, float, int],
     (e.g. 'delta' or 'kappa').  The parameters of every step are built
     before the first solve, so a step they reject (kappa = 0) raises
     ValueError at once.  Each Zero root joins the track of its
-    (sector structure, parity, ``Root.index``) identity; see
-    ``FlowResult``.
+    (parity, ``Root.index``) identity; see ``FlowResult``.
     """
     name, lo, hi, steps = sweep
     if steps < 1:
@@ -316,9 +302,8 @@ def flow(model: str, params, sweep: tuple[str, float, float, int],
     for i, p in enumerate(step_params):
         roots = resolve_spectrum(model, p, window, parity=parity, points=points)
         levels.append([r for r in roots if r.classification is RootKind.ZERO])
-        sectors = tuple(len(rec.sectors) for rec, _ in recurrences_for(model, p, parity))
         for r in levels[-1]:
-            key = (sectors, r.parity, r.index)
+            key = (r.parity, r.index)
             if key not in track_of:
                 track_of[key] = len(tracks)
                 tracks.append([])

@@ -32,6 +32,10 @@ GOLDEN = [
     ("flow --model dho --kappa 0.7 --sweep kappa:0.6:0.8:2 --x-min -1 --x-max 0.8 "
      "--points 300 --format json",
      "82540d044412dd90c2f6ae111783ef6d"),
+    # six rows: each degenerate level of the delta = 0 ladder twice
+    ("roots --model rabi --kappa 0.7 --delta 0 --x-min -1 --x-max 2 --points 800 "
+     "--format csv",
+     "74cd59ff07f271c5b0f8db2c9da2779a"),
 ]
 
 

@@ -210,7 +210,7 @@ class TestBlockDiagonalization:
 
 
 class TestModifiedRabi:
-    @pytest.mark.parametrize("kappa,delta", [(0.7, 0.4), (0.2, 0.1)])
+    @pytest.mark.parametrize("kappa,delta", [(0.7, 0.4), (0.2, 0.1), (2.0, 0.4)])
     def test_spectrum_equals_standard_rabi(self, kappa, delta):
         p = RabiParams(kappa, delta)
         std = eigen_lowest(build_hamiltonian("rabi", p, 200), 10, 1e-9)

@@ -192,7 +192,7 @@ class TestLevelCount:
     def test_counts_match_diagonalization(self, kappa):
         """levels_below equals the oracle's count below E: per parity label
         for the sectors, and over the whole Rabi spectrum for the displaced
-        frame (one ladder of the degenerate pairs at delta = 0)."""
+        frame, degenerate pairs included at delta = 0."""
         rng = np.random.default_rng(int(1000 * abs(kappa)) + (kappa < 0))
         checked = 0
         for delta in self.DELTAS:
@@ -220,8 +220,7 @@ class TestLevelCount:
                 assert labeled or delta == 0.0
                 cases = [(rec, float(e), below.count(label) if labeled else ladder)
                          for label, rec in sectors.items()]
-                cases.append((displaced, displaced.x_of(e),
-                              ladder if delta == 0.0 else len(below)))
+                cases.append((displaced, displaced.x_of(e), len(below)))
                 if delta == 0.0:
                     cases.append((dho, float(e), ladder))
                 for rec, x, expect in cases:

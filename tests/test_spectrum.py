@@ -181,17 +181,23 @@ class TestFindRoots:
 
     def test_degenerate_levels_reported_not_dropped(self):
         # two copies of the DHO ladder: every level is doubly degenerate,
-        # so no cell can hold just one of them
+        # so no cell can hold just one of them, and each cell gives two
+        # Zeros at one x
         dho = dho_recurrence(DhoParams(0.7))
         doubled = Recurrence(a=dho.a, b=dho.b, profile=dho.profile,
                              sectors=(dho, dho), label="doubled")
         sr = scan(doubled, -1.0, 2.0, 300)
         roots = find_roots(sr, doubled)
-        assert zeros_of(roots) == []
-        assert len(roots) == 3
-        for root, level in zip(roots, dho_exact_levels(DhoParams(0.7), 2)):
-            assert "2 levels" in root.note
-            assert root.bracket[0] <= level <= root.bracket[1]
+        assert zeros_of(roots) == roots
+        assert len(roots) == 6
+        for l, level in enumerate(dho_exact_levels(DhoParams(0.7), 2)):
+            pair = roots[2 * l:2 * l + 2]
+            assert [r.index for r in pair] == [2 * l, 2 * l + 1]
+            assert pair[0].x == pair[1].x
+            lo, hi = pair[0].bracket
+            assert pair[1].bracket == (lo, hi)
+            assert hi - lo <= 1e-10
+            assert lo <= level <= hi
 
     def test_pole_hugging_zero_is_a_zero(self):
         # at kappa = 0.12 the pole next to E = 6 - kappa**2 lies about
@@ -259,15 +265,17 @@ class TestResolveSpectrum:
         assert [r.energy for r in roots] == sorted(r.energy for r in roots)
 
     def test_displaced_frame_matches_parity_energies(self):
-        # both brackets are at most 1e-10 wide
+        # both brackets are at most 1e-10 wide; at delta = 0 every level
+        # is a degenerate pair
         window = (-1.0, 1.0)
-        parity = zeros_of(resolve_spectrum("rabi-parity", RabiParams(0.7, 0.4),
-                                           window, points=1500))
-        displaced = zeros_of(resolve_spectrum("rabi", RabiParams(0.7, 0.4),
-                                              window, points=1500))
-        assert len(parity) == len(displaced)
-        for a, b in zip(parity, displaced):
-            assert abs(a.energy - b.energy) <= 2e-10
+        for delta in (0.4, 0.0):
+            parity = zeros_of(resolve_spectrum("rabi-parity", RabiParams(0.7, delta),
+                                               window, points=1500))
+            displaced = zeros_of(resolve_spectrum("rabi", RabiParams(0.7, delta),
+                                                  window, points=1500))
+            assert len(parity) == len(displaced), delta
+            for a, b in zip(parity, displaced):
+                assert abs(a.energy - b.energy) <= 2e-10, delta
 
     def test_displaced_frame_x_is_shifted(self):
         displaced = zeros_of(resolve_spectrum("rabi", RabiParams(0.7, 0.4),
@@ -306,15 +314,16 @@ class TestResolveSpectrum:
 
 
 class TestOracleGrid:
-    """rabi-parity against certified diagonalization over the 35-case grid."""
+    """rabi-parity and rabi against certified diagonalization over the
+    35-case grid."""
 
     E_HI = 4.0
 
     @staticmethod
     def disagreements(zeros, levels, parities, window):
         """Zeros matching no level (one-to-one, within 1e-6, same parity
-        where the oracle labels it), plus levels inside the window that no
-        zero matched.  A level within 1e-6 of a window end is neither
+        where both the zero and the oracle carry a label), plus levels
+        inside the window that no zero matched.  A level within 1e-6 of a window end is neither
         required nor spurious: at that tolerance it may lie on either side
         (rabi-parity kappa = 2, delta = 0 has a degenerate pair at E = 4,
         which the oracle puts 5e-14 below and 3e-15 above the end)."""
@@ -323,7 +332,7 @@ class TestOracleGrid:
         for z in zeros:
             near = [i for i, (e, label) in enumerate(zip(levels, parities))
                     if i not in used and abs(e - z.energy) <= 1e-6
-                    and label in (None, z.parity)]
+                    and (None in (label, z.parity) or label == z.parity)]
             if not near:
                 bad += 1
                 continue
@@ -338,13 +347,15 @@ class TestOracleGrid:
         for delta in (0.0, 0.2, 0.5, 0.9, 1.5):
             p = RabiParams(kappa, delta)
             window = (-kappa * kappa - delta - 0.5, self.E_HI)
-            roots = resolve_spectrum("rabi-parity", p, window, points=1000)
-            assert all(r.classification is RootKind.ZERO for r in roots)
             k = 2 * math.ceil(self.E_HI + kappa * kappa + delta) + 4
             spec = eigen_lowest(build_hamiltonian("rabi", p, 200), k)
             assert spec.eigenvalues[-1] > self.E_HI
-            bad = self.disagreements(roots, spec.eigenvalues, spec.parities, window)
-            assert bad == 0, (kappa, delta)
+            for model in ("rabi-parity", "rabi"):
+                roots = resolve_spectrum(model, p, window, points=1000)
+                assert all(r.classification is RootKind.ZERO for r in roots)
+                bad = self.disagreements(roots, spec.eigenvalues, spec.parities,
+                                         window)
+                assert bad == 0, (model, kappa, delta)
 
 
 class TestDeterminism:
@@ -406,11 +417,13 @@ class TestFlow:
                 assert len({r.index for _, r in track}) == 1
 
     def test_rabi_tracks_do_not_jump_across_sector_change(self):
-        # one ladder at delta = 0, two parity sectors at delta != 0
+        # the degenerate pairs at delta = 0 split at delta != 0
         result = flow("rabi", RabiParams(0.7, 0.0), ("delta", 0.0, 0.1, 3),
                       (-1.0, 2.0))
         assert all(result.levels)
+        assert len(result.tracks) == 6
         for track in result.tracks:
+            assert len({r.index for _, r in track}) == 1
             for (_, r), (_, s) in zip(track, track[1:]):
                 assert abs(r.energy - s.energy) <= 0.1
 
