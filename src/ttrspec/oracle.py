@@ -1,12 +1,12 @@
 """Independent ground truth for the recurrence-based spectra.
 
-Truncated Fock-space Hamiltonians diagonalized one connected block of
-their nonzero pattern at a time (dense LAPACK via numpy on each block),
-with convergence certified by doubling the cutoff; the
-closed-form Laguerre branch of the displaced-oscillator recurrence; and
-an ascending-series Bessel oracle used by the upward-recursion caution
-fixture.  Nothing here touches the characteristic-function route, so
-agreement between the two is a real cross-check.
+Truncated Fock-space Hamiltonians diagonalized one parity sector at a
+time (dense LAPACK via numpy on each sector), with convergence
+certified by doubling the cutoff; the closed-form Laguerre branch of
+the displaced-oscillator recurrence; and an ascending-series Bessel
+oracle used by the upward-recursion caution fixture.  Nothing here
+touches the characteristic-function route, so agreement between the
+two is a real cross-check.
 """
 
 from __future__ import annotations
@@ -21,7 +21,8 @@ from .errors import NonConvergenceError, NumericsError
 from .models import DhoParams, GenRabiParams, JcParams, RabiParams
 from .recurrence import upward_recursion
 
-#: eigenvector parity expectation must be this close to +/-1 to get a label
+#: a gen-rabi eigenvector's parity expectation must be this close to +/-1
+#: to get a label
 _PARITY_LABEL_TOL = 1e-6
 
 
@@ -32,12 +33,11 @@ class TruncatedHamiltonian:
     Spinful models interleave as index i = 2n + s with s = 0 the upper
     (sigma3 = +1) and s = 1 the lower spin state; the spinless
     oscillator uses the Fock index directly.  ``params`` is retained so
-    the cutoff can be doubled for convergence certification.  Where a
-    symmetry decouples the basis, the nonzero pattern falls apart into
-    blocks (two parity chains of length ``cutoff`` for ``rabi`` and
-    ``rabi-modified``, 2-state blocks for ``jc``, one block for ``dho``
-    and for ``gen-rabi`` at delta != 0), and ``eigen_lowest`` finds them
-    from the entries.
+    the cutoff can be doubled for convergence certification.  In this
+    basis the reflection parity sigma3 (-1)**n of ``rabi``,
+    ``rabi-modified`` and ``jc`` is diagonal, so their matrices split
+    into two sectors of ``cutoff`` states each, which ``eigen_lowest``
+    diagonalizes apart.
     """
 
     dimension: int
@@ -51,10 +51,11 @@ class TruncatedHamiltonian:
 class OracleSpectrum:
     """Lowest eigenvalues in units of omega with parity labels.
 
-    Parities come from the reflection quantum number measured as
-    <sigma3 (-1)**n> (spin-boson form: <sigma1 (-1)**n>), the sign that
-    tags which of the two parity-resolved recurrences owns the level;
-    None where the model has no such symmetry or the state is unlabeled.
+    A parity is the reflection quantum number sigma3 (-1)**n of the
+    sector that holds the level (spin-boson form: <sigma1 (-1)**n>,
+    measured), the sign that tags which of the two parity-resolved
+    recurrences owns the level; None where the model has no such
+    symmetry or the state is unlabeled.
     """
 
     eigenvalues: list[float]
@@ -164,24 +165,13 @@ def build_hamiltonian(model_tag: str, params, cutoff: int) -> TruncatedHamiltoni
                                 params=params)
 
 
-def _parity_expectations(tag: str, vecs: np.ndarray) -> list[float] | None:
-    dim = vecs.shape[0]
-    if tag == "dho":
-        return None
-    n = np.arange(dim) // 2
-    if tag == "gen-rabi":
-        sign = (-1.0) ** n[::2]
-        up = vecs[0::2, :]
-        down = vecs[1::2, :]
-        return list(2.0 * np.sum(sign[:, None] * up * down, axis=0))
-    s3 = np.where(np.arange(dim) % 2 == 0, 1.0, -1.0)
-    diag = ((-1.0) ** n) * s3
-    return list(np.sum(diag[:, None] * vecs * vecs, axis=0))
+def _parity_expectations(vecs: np.ndarray) -> list[float]:
+    """<sigma1 (-1)**n> of each column, the reflection parity of ``gen-rabi``."""
+    sign = (-1.0) ** np.arange(vecs.shape[0] // 2)
+    return list(2.0 * np.sum(sign[:, None] * vecs[0::2] * vecs[1::2], axis=0))
 
 
-def _label(expectation: float | None) -> int | None:
-    if expectation is None:
-        return None
+def _label(expectation: float) -> int | None:
     if expectation >= 1.0 - _PARITY_LABEL_TOL:
         return 1
     if expectation <= -1.0 + _PARITY_LABEL_TOL:
@@ -189,63 +179,36 @@ def _label(expectation: float | None) -> int | None:
     return None
 
 
-def _blocks(entries: np.ndarray) -> list[np.ndarray]:
-    """Connected components of the nonzero pattern, as ascending index arrays.
+def _sectors(h: TruncatedHamiltonian) -> dict[int | None, np.ndarray]:
+    """Index sets of the parity sectors of ``h``, keyed by their label.
 
-    The matrix is block diagonal, up to a permutation, with one block per
-    component.  Labels start as the indices and are hooked to the smallest
-    label across every nonzero entry, then shortcut to their roots, until
-    no label moves (O(nnz) per round; a chain numbered along its length
-    settles in one round).
+    For ``rabi``, ``rabi-modified`` and ``jc`` the reflection parity
+    sigma3 (-1)**n is diagonal in the basis i = 2n + s, where it reads
+    (-1)**(n + s), and the matrix couples no index of one sign to one of
+    the other; NumericsError is raised if an entry does.  ``dho`` and
+    ``gen-rabi`` get one sector covering the whole matrix, keyed None.
     """
-    dim = entries.shape[0]
-    # flat indices of a boolean mask cost several times less than
-    # np.nonzero of the float matrix
-    i, j = np.divmod(np.flatnonzero(entries != 0), dim)
-    root = np.arange(dim)
-    while True:
-        before = root.copy()
-        np.minimum.at(root, root[i], root[j])
-        while True:
-            up = root[root]
-            if np.array_equal(up, root):
-                break
-            root = up
-        if np.array_equal(root, before):
-            break
-    members = np.argsort(root, kind="stable")
-    cuts = np.flatnonzero(np.diff(root[members])) + 1
-    return np.split(members, cuts)
+    i = np.arange(h.dimension)
+    if h.model_tag not in ("rabi", "rabi-modified", "jc"):
+        return {None: i}
+    even = (i // 2 + i % 2) % 2 == 0
+    plus, minus = i[even], i[~even]
+    if np.any(h.entries[np.ix_(plus, minus)]):
+        raise NumericsError(
+            f"'{h.model_tag}' matrix couples the two sectors of sigma3 (-1)**n")
+    return {1: plus, -1: minus}
 
 
-def _lowest_eigenpairs(entries: np.ndarray, k: int, vectors: bool):
-    """Lowest k eigenvalues of a real symmetric matrix, block by block.
-
-    Each block of ``_blocks`` is diagonalized on its own and the
-    eigenvalues of all blocks are merged in ascending order.  With
-    ``vectors`` the eigenvectors of the lowest k come back as full-length
-    columns, each supported on its own block; otherwise the second
-    result is None.
-    """
-    parts = []
-    for block in _blocks(entries):
-        sub = entries[np.ix_(block, block)]
-        if vectors:
-            parts.append((block, *np.linalg.eigh(sub)))
-        else:
-            parts.append((block, np.linalg.eigvalsh(sub), None))
-    vals = np.concatenate([w for _, w, _ in parts])
+def _lowest(h: TruncatedHamiltonian, k: int) -> tuple[np.ndarray, list[int | None]]:
+    """Lowest k eigenvalues of ``h``, one ``eigvalsh`` per sector, merged in
+    ascending order, each with the label of its sector."""
+    parts, labels = [], []
+    for label, idx in _sectors(h).items():
+        parts.append(np.linalg.eigvalsh(h.entries[np.ix_(idx, idx)]))
+        labels += [label] * len(idx)
+    vals = np.concatenate(parts)
     lowest = np.argsort(vals, kind="stable")[:k]
-    if not vectors:
-        return vals[lowest], None
-    sizes = [len(block) for block, _, _ in parts]
-    owner = np.repeat(np.arange(len(parts)), sizes)
-    start = np.cumsum([0] + sizes)
-    vecs = np.zeros((entries.shape[0], k))
-    for col, pos in enumerate(lowest):
-        block, _, v = parts[owner[pos]]
-        vecs[block, col] = v[:, pos - start[owner[pos]]]
-    return vals[lowest], vecs
+    return vals[lowest], [labels[i] for i in lowest]
 
 
 def eigen_lowest(h: TruncatedHamiltonian, k: int, tol: float = 1e-8) -> OracleSpectrum:
@@ -254,14 +217,16 @@ def eigen_lowest(h: TruncatedHamiltonian, k: int, tol: float = 1e-8) -> OracleSp
     The cutoff is doubled (up to three times) until the lowest k values
     move by less than ``tol`` (in units of omega) under a doubling; the
     spectrum and parity labels of the larger matrix are returned.  Each
-    matrix is diagonalized one connected block of its nonzero pattern at
-    a time (the two parity chains of the Rabi matrix, the 2-state blocks
-    of Jaynes-Cummings), which changes no eigenvalue beyond rounding.
-    Eigenvectors, needed only for the labels, are skipped on the first
-    cutoff, which is never the last.  A level of an exactly degenerate
-    pair keeps the label of its own block.
+    matrix is diagonalized one parity sector at a time (``_sectors``:
+    the two sigma3 (-1)**n sectors of ``rabi``, ``rabi-modified`` and
+    ``jc``), which changes no eigenvalue beyond rounding, and each level
+    takes the label of its sector, so the two levels of an exactly
+    degenerate pair carry one label each.  ``gen-rabi`` alone measures
+    its label <sigma1 (-1)**n> from the eigenvectors of the certified
+    matrix; ``dho`` levels carry None.
 
-    Raises ValueError unless ``tol`` is finite and positive, and
+    Raises ValueError unless ``tol`` is finite and positive,
+    NumericsError if a matrix couples its two parity sectors, and
     NonConvergenceError carrying the last two spectra if three doublings
     do not suffice.
     """
@@ -275,15 +240,13 @@ def eigen_lowest(h: TruncatedHamiltonian, k: int, tol: float = 1e-8) -> OracleSp
     vals_prev = None
     vals = None
     for step in range(4):
-        vals, vecs = _lowest_eigenpairs(cur.entries, k, vectors=step > 0)
+        vals, labels = _lowest(cur, k)
         if vals_prev is not None:
             moved = float(np.max(np.abs(vals - vals_prev)))
             if moved < tol:
-                pe = _parity_expectations(cur.model_tag, vecs)
-                if pe is None:
-                    labels: list[int | None] = [None] * k
-                else:
-                    labels = [_label(v) for v in pe]
+                if cur.model_tag == "gen-rabi":
+                    vecs = np.linalg.eigh(cur.entries)[1][:, :k]
+                    labels = [_label(v) for v in _parity_expectations(vecs)]
                 return OracleSpectrum(eigenvalues=[float(v) for v in vals],
                                       parities=labels, converged_count=k)
         vals_prev = vals
@@ -293,6 +256,22 @@ def eigen_lowest(h: TruncatedHamiltonian, k: int, tol: float = 1e-8) -> OracleSp
         "lowest eigenvalues did not stabilize after 3 cutoff doublings",
         last=[float(v) for v in vals],
         previous=[float(v) for v in vals_prev])
+
+
+def _laguerre_sum(alpha, z, n: int):
+    """L_n^(alpha - n)(z) = sum_{i=0}^{n} (-1)**i C(alpha, n - i) z**i / i!,
+    in the arithmetic of ``z`` (float, or Decimal in the caller's context)."""
+    one = type(z)(1)
+    binom = [one] * (n + 1)
+    for kk in range(1, n + 1):
+        binom[kk] = binom[kk - 1] * (alpha - kk + 1) / kk
+    total = 0 * one
+    z_over_fact = one  # z**i / i!
+    for i in range(n + 1):
+        term = binom[n - i] * z_over_fact
+        total += term if i % 2 == 0 else -term
+        z_over_fact *= z / (i + 1)
+    return total
 
 
 def laguerre_dominant(p: DhoParams, x: float, n: int) -> float:
@@ -314,18 +293,7 @@ def laguerre_dominant(p: DhoParams, x: float, n: int) -> float:
     kappa = p.kappa
     z = kappa * kappa
     alpha = x + z
-
-    binom = [1.0] * (n + 1)
-    for kk in range(1, n + 1):
-        binom[kk] = binom[kk - 1] * (alpha - kk + 1) / kk
-
-    total = 0.0
-    z_over_fact = 1.0  # z**i / i!
-    for i in range(n + 1):
-        term = binom[n - i] * z_over_fact
-        total += term if i % 2 == 0 else -term
-        z_over_fact *= z / (i + 1)
-    return kappa ** (alpha - n) * total
+    return kappa ** (alpha - n) * _laguerre_sum(alpha, z, n)
 
 
 def laguerre_ratio(p: DhoParams, x: float, n: int) -> float:
@@ -350,23 +318,10 @@ def laguerre_ratio(p: DhoParams, x: float, n: int) -> float:
         ctx.Emin = -(10 ** 9)
         alpha = Decimal(alpha_f)
         z = Decimal(p.kappa * p.kappa)
-
-        def lag(m: int) -> Decimal:
-            binom = [Decimal(1)] * (m + 1)
-            for kk in range(1, m + 1):
-                binom[kk] = binom[kk - 1] * (alpha - kk + 1) / kk
-            total = Decimal(0)
-            z_over_fact = Decimal(1)
-            for i in range(m + 1):
-                term = binom[m - i] * z_over_fact
-                total += term if i % 2 == 0 else -term
-                z_over_fact *= z / (i + 1)
-            return total
-
-        low = lag(n)
+        low = _laguerre_sum(alpha, z, n)
         if low == 0:
             raise NumericsError(f"coefficient ratio undefined: c_{n} = 0")
-        return float(lag(n + 1) / (low * Decimal(p.kappa)))
+        return float(_laguerre_sum(alpha, z, n + 1) / (low * Decimal(p.kappa)))
 
 
 def dho_upward_coefficients(p: DhoParams, x: float, n_max: int) -> list[float]:

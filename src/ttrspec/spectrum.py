@@ -8,10 +8,12 @@ count rises by m holds exactly m (Sturm bisection; Barth, Martin &
 Wilkinson, 1967).
 
 ``scan`` tabulates char(x) and the count on a grid.  A cell changes sign
-once per zero and once per pole, so a sign change that the count does
-not account for (above all, one across a cell with no level) is a pole
-and ends a branch, as do explicit coefficient poles and PoleDetected
-points.  ``scan`` also halves every cell whose count rises down to
+once per simple zero and once per pole, so across a cell whose count
+rises by 0 or 1 a sign change that the count does not account for is a
+pole and ends a branch, as do explicit coefficient poles and
+PoleDetected points.  A cell whose count rises by 2 or more holds
+levels closer than 1e-10, such as a degenerate pair, which char(x) may
+cross with either sign, so its sign decides nothing.  ``scan`` also halves every cell whose count rises down to
 1e-10; ``find_roots`` polishes each such cell once, from the scan's
 char(x) at its ends and up to three secant steps inside it, and returns
 one root per level the count puts there.  The count assumes a
@@ -55,8 +57,8 @@ class ScanResult:
     [xs[0], xs[-1]); a level within rounding of an end may fall on either
     side of it.  ``branch_ids`` are non-decreasing and increment across
     every cell that holds an explicit coefficient pole, touches a
-    PoleDetected point, or changes sign a number of times the count does
-    not account for (a pole).
+    PoleDetected point, or rises in count by 0 or 1 and changes sign a
+    number of times the count does not account for (a pole).
     """
 
     xs: np.ndarray
@@ -181,8 +183,9 @@ def scan(rec: Recurrence, x_lo: float, x_hi: float, points: int) -> ScanResult:
     branch_ids = [0]
     for (xl, fl), (xr, fr) in zip(rows, rows[1:]):
         converged = fl.status is fr.status is SeriesStatus.CONVERGED
-        odd = (count_at[xr] - count_at[xl]) % 2 == 1
-        ends_branch = (not converged or (fl.value * fr.value <= 0.0) != odd
+        rise = count_at[xr] - count_at[xl]
+        ends_branch = (not converged
+                       or (rise < 2 and (fl.value * fr.value <= 0.0) != (rise == 1))
                        or _bisect.bisect_right(poles, xl) < _bisect.bisect_right(poles, xr))
         branch_ids.append(branch_ids[-1] + ends_branch)
     return ScanResult(xs=np.asarray(xs), fs=fs,

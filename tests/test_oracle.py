@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from ttrspec import (
     GenRabiParams,
     JcParams,
     NonConvergenceError,
+    NumericsError,
     RabiParams,
     bessel_j_series,
     bessel_j_upward,
@@ -19,7 +21,7 @@ from ttrspec import (
     jc_exact_levels,
     laguerre_dominant,
 )
-from ttrspec.oracle import _blocks, _label, _parity_expectations, laguerre_ratio
+from ttrspec.oracle import _label, _parity_expectations, _sectors, laguerre_ratio
 
 ALL_TAGS = ["dho", "rabi", "jc", "gen-rabi", "rabi-modified"]
 
@@ -90,9 +92,9 @@ class TestEigenLowest:
         assert spec.parities[:4] == [-1, 1, -1, 1]
 
     def test_parity_expectation_near_unit_modulus(self):
-        h = build_hamiltonian("rabi", RabiParams(0.7, 0.4), 128)
+        h = build_hamiltonian("gen-rabi", GenRabiParams(0.7, 0.4, theta=0.0), 128)
         vals, vecs = np.linalg.eigh(h.entries)
-        pe = _parity_expectations("rabi", vecs[:, :6])
+        pe = _parity_expectations(vecs[:, :6])
         assert all(abs(abs(v) - 1.0) < 1e-8 for v in pe)
 
     def test_broken_symmetry_gets_no_label(self):
@@ -121,7 +123,7 @@ class TestEigenLowest:
 
 
 class TestBlockDiagonalization:
-    """``eigen_lowest`` diagonalizes each block of the nonzero pattern alone."""
+    """``eigen_lowest`` diagonalizes each parity sector alone."""
 
     @staticmethod
     def _final_matrix(monkeypatch, tag, p, cutoff, k, tol):
@@ -144,11 +146,20 @@ class TestBlockDiagonalization:
         vals, vecs = np.linalg.eigh(final.entries)
         assert np.max(np.abs(np.array(spec.eigenvalues)
                              - np.linalg.eigvalsh(final.entries)[:k])) < 1e-12
-        dense = _parity_expectations(tag, vecs[:, :k])
+        # dense reference: <sigma3 (-1)**n>, in spin-boson form
+        # <sigma1 (-1)**n>, over the eigenvectors of the whole matrix
+        vecs = vecs[:, :k]
+        n = np.arange(final.dimension) // 2
+        if tag == "gen-rabi":
+            sign = (-1.0) ** n[0::2]
+            dense = 2.0 * np.sum(sign[:, None] * vecs[0::2] * vecs[1::2], axis=0)
+        else:
+            s3 = np.where(np.arange(final.dimension) % 2 == 0, 1.0, -1.0)
+            dense = np.sum(((-1.0) ** n * s3)[:, None] * vecs ** 2, axis=0)
         for i in range(k):
             gap = min(abs(vals[i] - vals[j]) for j in (i - 1, i + 1) if j >= 0)
             if gap > 1e-9:
-                want = None if dense is None else _label(dense[i])
+                want = None if tag == "dho" else _label(dense[i])
                 assert spec.parities[i] == want, i
 
     def test_degenerate_pairs_keep_their_own_labels(self):
@@ -159,43 +170,45 @@ class TestBlockDiagonalization:
             assert abs(spec.eigenvalues[i] - spec.eigenvalues[i + 1]) < 1e-9
             assert sorted(spec.parities[i:i + 2]) == [-1, 1]
 
-    def test_block_sizes(self):
-        sizes = {tag: sorted(len(b) for b in _blocks(
-            build_hamiltonian(tag, params_for(tag), 64).entries))
-            for tag in ALL_TAGS}
-        # the lower state at n = 0 has no partner, and the partner of the
-        # top upper state lies beyond the cutoff
-        assert sizes["jc"] == [1, 1] + [2] * 63
-        assert sizes["rabi"] == [64, 64]
-        assert sizes["rabi-modified"] == [64, 64]
-        assert sizes["dho"] == [64]
-        assert sizes["gen-rabi"] == [128]
+    @pytest.mark.parametrize("tag", ALL_TAGS)
+    def test_sector_sizes(self, tag):
+        h = build_hamiltonian(tag, params_for(tag), 64)
+        sectors = _sectors(h)
+        if tag in ("dho", "gen-rabi"):
+            assert list(sectors) == [None]
+            assert np.array_equal(sectors[None], np.arange(h.dimension))
+            return
+        # i = 2n + s with sigma3 = +1 at s = 0: the parity is (-1)**(n + s)
+        assert {label: idx[:4].tolist() for label, idx in sectors.items()} == {
+            1: [0, 3, 4, 7], -1: [1, 2, 5, 6]}
+        assert [len(idx) for idx in sectors.values()] == [64, 64]
 
-    def test_blocks_of_a_shuffled_basis(self):
-        # numbered out of chain order, a chain needs several hooking rounds
-        perm = np.random.default_rng(7).permutation(32)
-        entries = build_hamiltonian("rabi", RabiParams(0.7, 0.4), 16).entries
-        shuffled = entries[np.ix_(perm, perm)]
-        blocks = _blocks(shuffled)
-        assert sorted(len(b) for b in blocks) == [16, 16]
-        assert np.array_equal(np.sort(np.concatenate(blocks)), np.arange(32))
-        a, b = blocks
-        assert not np.any(shuffled[np.ix_(a, b)])
+    def test_coupling_across_sectors_raises(self):
+        h = build_hamiltonian("rabi", RabiParams(0.7, 0.4), 32)
+        entries = h.entries.copy()
+        # a sigma1 term at n = 0 joins the two spin states of opposite parity
+        entries[0, 1] = entries[1, 0] = 0.1
+        with pytest.raises(NumericsError, match="couples the two sectors"):
+            eigen_lowest(dataclasses.replace(h, entries=entries), 4, 1e-8)
 
     def test_no_solver_call_wider_than_the_cutoff(self, monkeypatch):
-        widths = []
+        calls = []
         for name in ("eigh", "eigvalsh"):
             real = getattr(np.linalg, name)
 
-            def recording(a, *args, _real=real, **kwargs):
-                widths.append(a.shape[-1])
+            def recording(a, *args, _name=name, _real=real, **kwargs):
+                calls.append((_name, a.shape[-1]))
                 return _real(a, *args, **kwargs)
 
             monkeypatch.setattr(np.linalg, name, recording)
         spec = eigen_lowest(build_hamiltonian("rabi", RabiParams(0.7, 0.4), 100),
                             14, 1e-8)
         assert spec.converged_count == 14
-        assert set(widths) == {100, 200}
+        assert {width for _, width in calls} == {100, 200}
+        # no model but gen-rabi needs eigenvectors
+        for tag in ("rabi-modified", "jc", "dho"):
+            eigen_lowest(build_hamiltonian(tag, params_for(tag), 100), 14, 1e-8)
+        assert {name for name, _ in calls} == {"eigvalsh"}
 
     @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
     def test_bad_tol_rejected_before_any_solve(self, monkeypatch, tol):

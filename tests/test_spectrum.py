@@ -92,13 +92,20 @@ class TestScan:
         assert find_roots(sr, rec) == []
 
     def test_displaced_rabi_boundaries_at_explicit_poles(self):
-        rec = rabi_displaced_recurrence(RabiParams(0.7, 0.4))
-        sr = scan(rec, -1.0, 3.0, 2000)
-        bounds = [0.5 * (sr.xs[i - 1] + sr.xs[i])
-                  for i in range(1, len(sr.xs))
-                  if sr.branch_ids[i] != sr.branch_ids[i - 1]]
-        for pole in (0.0, 1.0, 2.0):
-            assert any(abs(b - pole) < 5e-3 for b in bounds)
+        # at delta = 0 the integers are no poles but degenerate levels,
+        # where the count rises by 2 and no branch may end
+        for delta, x_lo, x_hi, points in ((0.4, -1.0, 3.0, 2000),
+                                          (0.0, -0.51, 2.49, 200)):
+            rec = rabi_displaced_recurrence(RabiParams(0.7, delta))
+            sr = scan(rec, x_lo, x_hi, points)
+            bounds = [0.5 * (sr.xs[i - 1] + sr.xs[i])
+                      for i in range(1, len(sr.xs))
+                      if sr.branch_ids[i] != sr.branch_ids[i - 1]]
+            poles = rec.explicit_poles(x_lo, x_hi)
+            assert len(poles) == (3 if delta else 0)
+            for x in (0.0, 1.0, 2.0):
+                at_pole = any(abs(x - p) < 1e-12 for p in poles)
+                assert any(abs(b - x) < 5e-3 for b in bounds) == at_pole, (delta, x)
 
     def test_grid_points_nudged_off_poles(self):
         rec = rabi_displaced_recurrence(RabiParams(0.7, 0.4))
