@@ -259,8 +259,8 @@ def eigen_lowest(h: TruncatedHamiltonian, k: int, tol: float = 1e-8) -> OracleSp
 
 
 def _laguerre_sum(alpha, z, n: int):
-    """L_n^(alpha - n)(z) = sum_{i=0}^{n} (-1)**i C(alpha, n - i) z**i / i!,
-    in the arithmetic of ``z`` (float, or Decimal in the caller's context)."""
+    """The finite Laguerre sum of ``laguerre_dominant``, in the arithmetic
+    of ``z`` (float, or Decimal in the caller's context)."""
     one = type(z)(1)
     binom = [one] * (n + 1)
     for kk in range(1, n + 1):

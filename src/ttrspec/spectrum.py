@@ -13,12 +13,13 @@ rises by 0 or 1 a sign change that the count does not account for is a
 pole and ends a branch, as do explicit coefficient poles and
 PoleDetected points.  A cell whose count rises by 2 or more holds
 levels closer than 1e-10, such as a degenerate pair, which char(x) may
-cross with either sign, so its sign decides nothing.  ``scan`` also halves every cell whose count rises down to
-1e-10; ``find_roots`` polishes each such cell once, from the scan's
-char(x) at its ends and up to three secant steps inside it, and returns
-one root per level the count puts there.  The count assumes a
-recurrence whose coefficients form a pencil of the shipped orientation
-(see ``Recurrence``); NumericsError is raised where it falls.
+cross with either sign, so its sign decides nothing.  ``scan`` also
+halves every cell whose count rises down to 1e-10; ``find_roots``
+polishes each such cell once, from the scan's char(x) at its ends and
+up to three secant steps inside it, and returns one root per level the
+count puts there.  The count assumes a recurrence whose coefficients
+form a pencil of the shipped orientation (see ``Recurrence``);
+NumericsError is raised where it falls.
 """
 
 from __future__ import annotations
