@@ -1,8 +1,10 @@
-"""Golden stdout of the CLI: identical flags give byte-identical output.
+"""Golden bytes: identical flags give byte-identical output.
 
-Each digest is the md5 of the stdout of one ``ttrspec`` invocation.  A
-change that alters any of these bytes on purpose updates the digest and
-says why in CHANGES.md.
+Each CLI digest is the md5 of the stdout of one ``ttrspec`` invocation,
+and each matrix digest the md5 of the entries of one truncated oracle
+Hamiltonian at cutoff 64, signed zeros included.  A change that alters
+any of these bytes on purpose updates the digest and says why in
+CHANGES.md.
 """
 
 import hashlib
@@ -10,6 +12,7 @@ import hashlib
 import pytest
 from click.testing import CliRunner
 
+from ttrspec import DhoParams, GenRabiParams, JcParams, RabiParams, build_hamiltonian
 from ttrspec.cli import cli
 
 GOLDEN = [
@@ -38,6 +41,16 @@ GOLDEN = [
      "74cd59ff07f271c5b0f8db2c9da2779a"),
 ]
 
+# the parameters of ``params_for`` in tests/test_oracle.py
+MATRICES = [
+    ("dho", DhoParams(0.7), "3032cc2d5c895505e8882caaae12e6e9"),
+    ("rabi", RabiParams(0.7, 0.4), "848e461fc13215c83a6f57d37895cd18"),
+    ("jc", JcParams(0.25, 0.45), "c46be5da7cb5ea09b9cd482ab7114eae"),
+    ("gen-rabi", GenRabiParams(0.7, 0.4, theta=0.2),
+     "d63c1e85dd461f34ae235e29d91130cf"),
+    ("rabi-modified", RabiParams(0.7, 0.4), "4a5e478a71d7127e3c207eb52065f8ca"),
+]
+
 
 @pytest.mark.parametrize("args, digest", GOLDEN, ids=[a.split()[0] + str(i)
                                                       for i, (a, _) in enumerate(GOLDEN)])
@@ -45,3 +58,9 @@ def test_stdout_digest(args, digest):
     res = CliRunner().invoke(cli, args.split())
     assert res.exit_code == 0, res.output
     assert hashlib.md5(res.stdout.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("tag, params, digest", MATRICES, ids=[m[0] for m in MATRICES])
+def test_matrix_digest(tag, params, digest):
+    entries = build_hamiltonian(tag, params, 64).entries
+    assert hashlib.md5(entries.tobytes()).hexdigest() == digest
