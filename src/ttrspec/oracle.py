@@ -74,65 +74,49 @@ def _dho_matrix(p: DhoParams, cutoff: int) -> np.ndarray:
     return h
 
 
-def _rabi_matrix(p: RabiParams, cutoff: int) -> np.ndarray:
-    h = np.zeros((2 * cutoff, 2 * cutoff))
-    for n in range(cutoff):
-        h[2 * n, 2 * n] = n + p.delta
-        h[2 * n + 1, 2 * n + 1] = n - p.delta
-        if n + 1 < cutoff:
-            c = p.kappa * math.sqrt(n + 1)
-            for s in (0, 1):
-                i, j = 2 * n + s, 2 * (n + 1) + (1 - s)
-                h[i, j] = c
-                h[j, i] = c
+def _spin_boson(cutoff: int, onsite, hop) -> np.ndarray:
+    """n + onsite + hop a + hop^H a^+ in the basis i = 2n + s.
+
+    ``onsite`` (Hermitian) and ``hop`` are 2x2 spin blocks: the block of
+    level n is n*1 + onsite, the block from n to n + 1 is
+    sqrt(n + 1) hop, and the block from n + 1 to n its conjugate
+    transpose.
+    """
+    onsite, hop = np.asarray(onsite), np.asarray(hop)
+    h = np.zeros((2 * cutoff, 2 * cutoff), dtype=np.result_type(onsite, hop))
+    n = np.arange(cutoff)[:, None]
+    s, t = np.divmod(np.arange(4), 2)  # row and column of each block entry
+    h[2 * n + s, 2 * n + t] = onsite[s, t]
+    spin = np.arange(2)
+    h[2 * n + spin, 2 * n + spin] = n + onsite.diagonal()
+    root = np.sqrt(n[1:])
+    h[2 * n[:-1] + s, 2 * n[1:] + t] = root * hop[s, t]
+    h[2 * n[1:] + t, 2 * n[:-1] + s] = root * hop.conj()[s, t]
     return h
+
+
+def _rabi_matrix(p: RabiParams, cutoff: int) -> np.ndarray:
+    return _spin_boson(cutoff, [[p.delta, 0.0], [0.0, -p.delta]],
+                       [[0.0, p.kappa], [p.kappa, 0.0]])
 
 
 def _jc_matrix(p: JcParams, cutoff: int) -> np.ndarray:
-    h = np.zeros((2 * cutoff, 2 * cutoff))
-    for n in range(cutoff):
-        h[2 * n, 2 * n] = n + p.delta
-        h[2 * n + 1, 2 * n + 1] = n - p.delta
-        if n + 1 < cutoff:
-            c = p.kappa * math.sqrt(n + 1)
-            i, j = 2 * n, 2 * (n + 1) + 1
-            h[i, j] = c
-            h[j, i] = c
-    return h
+    return _spin_boson(cutoff, [[p.delta, 0.0], [0.0, -p.delta]],
+                       [[0.0, p.kappa], [0.0, 0.0]])
 
 
 def _gen_rabi_matrix(p: GenRabiParams, cutoff: int) -> np.ndarray:
     # spin-boson form: n + kappa sigma3 (a^+ + a) + theta sigma3 + delta sigma1
-    h = np.zeros((2 * cutoff, 2 * cutoff))
-    for n in range(cutoff):
-        h[2 * n, 2 * n] = n + p.theta
-        h[2 * n + 1, 2 * n + 1] = n - p.theta
-        h[2 * n, 2 * n + 1] = p.delta
-        h[2 * n + 1, 2 * n] = p.delta
-        if n + 1 < cutoff:
-            c = p.kappa * math.sqrt(n + 1)
-            for s, sign in ((0, 1.0), (1, -1.0)):
-                i, j = 2 * n + s, 2 * (n + 1) + s
-                h[i, j] = sign * c
-                h[j, i] = sign * c
-    return h
+    return _spin_boson(cutoff, [[p.theta, p.delta], [p.delta, -p.theta]],
+                       [[p.kappa, 0.0], [0.0, -p.kappa]])
 
 
 def _modified_rabi_matrix(p: RabiParams, cutoff: int) -> np.ndarray:
     # plane-wave coupling i kappa sigma1 (a^+ - a); the phase rotation
     # |n> -> i**n |n>, with exact powers of i, turns it into the standard
     # real coupling.
-    d = 2 * cutoff
-    hc = np.zeros((d, d), dtype=complex)
-    for n in range(cutoff):
-        hc[2 * n, 2 * n] = n + p.delta
-        hc[2 * n + 1, 2 * n + 1] = n - p.delta
-        if n + 1 < cutoff:
-            c = p.kappa * math.sqrt(n + 1)
-            for s in (0, 1):
-                i, j = 2 * (n + 1) + (1 - s), 2 * n + s
-                hc[i, j] = 1j * c
-                hc[j, i] = -1j * c
+    hc = _spin_boson(cutoff, [[p.delta, 0.0], [0.0, -p.delta]],
+                     [[0.0, -1j * p.kappa], [-1j * p.kappa, 0.0]])
     u = np.repeat(np.array([1, 1j, -1, -1j])[np.arange(cutoff) % 4], 2)
     hr = np.conj(u)[:, None] * hc * u[None, :]
     residue = float(np.max(np.abs(hr.imag)))
