@@ -15,7 +15,6 @@ from .charfunc import (
     MinimalSolution,
     SeriesStatus,
     cf_convergent,
-    char_partial_sums,
     char_series,
     minimal_ratios,
     minimal_solution,
@@ -91,7 +90,6 @@ __all__ = [
     "bessel_j_upward",
     "build_hamiltonian",
     "cf_convergent",
-    "char_partial_sums",
     "char_series",
     "classify",
     "dho_exact_levels",

@@ -31,7 +31,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .errors import CoefficientPoleError, NonConvergenceError, NumericsError
+from .errors import CoefficientPoleError, NonConvergenceError
 from .recurrence import Recurrence, tail_ratio_estimate
 
 _TINY = 1e-300
@@ -125,37 +125,6 @@ def char_series(rec: Recurrence, x: float) -> CharEval:
         u_prev = u
         a_prev = a_l
     return CharEval(total, _MAX_TERMS, SeriesStatus.MAX_TERMS, abs(term))
-
-
-def char_partial_sums(rec: Recurrence, x: float, k_max: int) -> list[float]:
-    """Partial sums S_1..S_{k_max} of the series, with no stopping rule.
-
-    Each S_k equals the k-th convergent of the r_0 continued fraction
-    plus a_0; see ``cf_convergent``.
-    """
-    a0 = rec.a(0, x)
-    a_prev = rec.a(1, x)
-    if a_prev == 0.0:
-        raise CoefficientPoleError("coefficient pole at level 1")
-    term = -rec.b(1, x) / a_prev
-    total = a0 + term
-    sums = [total]
-    u_prev = 1.0
-    for l in range(2, k_max + 1):
-        a_l = rec.a(l, x)
-        b_l = rec.b(l, x)
-        if a_l == 0.0:
-            raise CoefficientPoleError(f"coefficient pole at level {l}")
-        denom = 1.0 - u_prev * b_l / (a_l * a_prev)
-        if denom == 0.0:
-            raise NumericsError(f"series transform pole at level {l}")
-        u = 1.0 / denom
-        term *= u - 1.0
-        total += term
-        sums.append(total)
-        u_prev = u
-        a_prev = a_l
-    return sums
 
 
 def cf_convergent(rec: Recurrence, x: float, k: int) -> float:

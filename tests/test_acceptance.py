@@ -23,7 +23,6 @@ from ttrspec import (
     bessel_j_upward,
     build_hamiltonian,
     cf_convergent,
-    char_partial_sums,
     char_series,
     dho_recurrence,
     dho_upward_coefficients,
@@ -132,7 +131,8 @@ def test_criterion_4_series_cf_identity():
             assert gap <= 1e-9, f"{label} at x={x}"
             worst = max(worst, gap)
 
-    # partial sums of the series = convergents of the fraction
+    # the series of the fraction ended after level k (a_l = 1, b_l = 0
+    # beyond it) = a_0 + its k-th convergent
     rng = np.random.default_rng(20240809)
     worst_identity = 0.0
     for _ in range(30):
@@ -143,19 +143,17 @@ def test_criterion_4_series_cf_identity():
             prev = a_vals[n - 1] if n > 1 else 1.0
             b_vals[n] = float(rng.uniform(-0.25, 0.25)) * a_vals[n] * prev
         a0 = float(rng.uniform(1.0, 2.0))
-
-        def a(n, x, _a=a_vals, _a0=a0):
-            return _a0 if n == 0 else _a[n]
-
-        def b(n, x, _b=b_vals):
-            return _b[n]
-
-        rec = Recurrence(a=a, b=b,
-                         profile=AsymptoticProfile(0.0, -1.0, 1.0, 1.0))
-        sums = char_partial_sums(rec, 0.0, 30)
         for k in range(1, 31):
+            def a(n, x, _a=a_vals, _a0=a0, _k=k):
+                return _a0 if n == 0 else _a[n] if n <= _k else 1.0
+
+            def b(n, x, _b=b_vals, _k=k):
+                return _b[n] if n <= _k else 0.0
+
+            rec = Recurrence(a=a, b=b,
+                             profile=AsymptoticProfile(0.0, -1.0, 1.0, 1.0))
             conv = a0 + cf_convergent(rec, 0.0, k)
-            gap = abs(sums[k - 1] - conv) / max(1.0, abs(conv))
+            gap = abs(char_series(rec, 0.0).value - conv) / max(1.0, abs(conv))
             assert gap <= 1e-12
             worst_identity = max(worst_identity, gap)
     print(f"PASS criterion 4: grid identity worst {worst:.2e} (<=1e-9), "

@@ -15,7 +15,6 @@ from ttrspec import (
     bessel_fixture,
     bessel_j_series,
     cf_convergent,
-    char_partial_sums,
     char_series,
     dho_recurrence,
     minimal_ratios,
@@ -27,13 +26,16 @@ from ttrspec import (
 from ttrspec import charfunc
 
 
-def table_recurrence(a_vals, b_vals, a0=1.0):
-    """Recurrence backed by finite coefficient tables (tests only)."""
+def table_recurrence(a_vals, b_vals, a0=1.0, k=None):
+    """Recurrence backed by finite coefficient tables (tests only).
+
+    With ``k`` the fraction ends after level k: a_l = 1 and b_l = 0 beyond.
+    """
     def a(n, x):
-        return a0 if n == 0 else a_vals[n]
+        return a0 if n == 0 else a_vals[n] if k is None or n <= k else 1.0
 
     def b(n, x):
-        return b_vals[n]
+        return b_vals[n] if k is None or n <= k else 0.0
 
     profile = AsymptoticProfile(0.0, -1.0, 1.0, 1.0)
     return Recurrence(a=a, b=b, profile=profile, label="table")
@@ -151,16 +153,18 @@ class TestEulerIdentity:
     @given(contractive_tables())
     def test_partial_sums_equal_convergents(self, table):
         a_vals, b_vals, a0 = table
-        rec = table_recurrence(a_vals, b_vals, a0=a0)
-        sums = char_partial_sums(rec, 0.0, 30)
+        # the series of the fraction ended after level k sums to its
+        # k-th partial sum, which is a_0 plus the k-th convergent
         for k in range(1, 31):
+            rec = table_recurrence(a_vals, b_vals, a0=a0, k=k)
+            value = char_series(rec, 0.0).value
             conv = a0 + cf_convergent(rec, 0.0, k)
-            assert abs(sums[k - 1] - conv) <= 1e-12 * max(1.0, abs(conv))
+            assert abs(value - conv) <= 1e-12 * max(1.0, abs(conv))
 
     def test_first_convergent(self):
-        rec = table_recurrence({1: 2.0}, {1: 0.5}, a0=1.0)
+        rec = table_recurrence({1: 2.0}, {1: 0.5}, a0=1.0, k=1)
         assert cf_convergent(rec, 0.0, 1) == pytest.approx(-0.25)
-        assert char_partial_sums(rec, 0.0, 1)[0] == pytest.approx(0.75)
+        assert char_series(rec, 0.0).value == pytest.approx(0.75)
 
     def test_convergent_validation(self):
         with pytest.raises(ValueError):
