@@ -87,7 +87,6 @@ class Root:
     index: int
     parity: int | None
     classification: RootKind
-    note: str = ""
 
 
 @dataclass(frozen=True)
@@ -235,8 +234,8 @@ def find_roots(sr: ScanResult, rec: Recurrence) -> list[Root]:
     times, with that residual and indices count_lo ... count_hi - 1: a
     cell holding several levels holds levels closer than 1e-10, such as
     a degenerate pair.  A root within 1e-9 of an explicit coefficient
-    pole is returned as a PoleCrossing noted as a possible exceptional
-    point, outside the regular spectrum; every other root is a Zero.
+    pole is returned as a PoleCrossing, a possible exceptional point
+    outside the regular spectrum; every other root is a Zero.
     """
     xs = sr.xs.tolist()
     poles = sorted(rec.explicit_poles(xs[0], xs[-1]))
@@ -246,13 +245,11 @@ def find_roots(sr: ScanResult, rec: Recurrence) -> list[Root]:
         if c_hi == c_lo:
             continue
         x, f = _polish(rec, lo, f_lo, hi, f_hi)
-        if any(abs(x - p) <= 10.0 * _X_TOL for p in poles):
-            kind, note = RootKind.POLE_CROSSING, "possible exceptional point"
-        else:
-            kind, note = RootKind.ZERO, ""
+        near_pole = any(abs(x - p) <= 10.0 * _X_TOL for p in poles)
+        kind = RootKind.POLE_CROSSING if near_pole else RootKind.ZERO
         roots += [Root(x=x, energy=rec.energy_of(x), residual=abs(f),
                        bracket=(lo, hi), index=index, parity=None,
-                       classification=kind, note=note)
+                       classification=kind)
                   for index in range(c_lo, c_hi)]
     return roots
 

@@ -171,8 +171,8 @@ class TestFindRoots:
 
     def test_exceptional_point_guard(self):
         # a pole abscissa declared within 1e-9 of a refined zero must
-        # demote it to PoleCrossing with a note; scan with the clean
-        # recurrence so the candidate actually reaches bisection
+        # demote it to PoleCrossing, a possible exceptional point; scan
+        # with the clean recurrence so the candidate reaches bisection
         base = dho_recurrence(DhoParams(0.7))
         planted = Recurrence(a=base.a, b=base.b, profile=base.profile,
                              explicit_poles=lambda lo, hi: [0.51],
@@ -180,8 +180,7 @@ class TestFindRoots:
         sr = scan(base, 0.4, 0.6, 64)
         roots = find_roots(sr, planted)
         assert zeros_of(roots) == []
-        flagged = [r for r in pole_crossings_of(roots)
-                   if "exceptional" in r.note]
+        flagged = pole_crossings_of(roots)
         assert len(flagged) == 1
         assert abs(flagged[0].x - 0.51) < 1e-6
 
