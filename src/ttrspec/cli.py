@@ -137,7 +137,18 @@ def _numeric_options(fn):
     return fn
 
 
-@click.group()
+class _Cli(click.Group):
+    """The command group; a NumericsError from any command exits 3."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except NumericsError as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(3)
+
+
+@click.group(cls=_Cli)
 @click.version_option(version="0.1.0", prog_name="ttrspec")
 def cli():
     """Spectra of boson-mode models from their recurrence coefficients."""
@@ -158,11 +169,7 @@ def scan(model, kappa, delta, parity, points, x_min, x_max, out, fmt):
             "scan writes a single F column; choose --parity plus or minus")
     params = _params_for(model, kappa, delta, parity)
     rec, _ = recurrences_for(model, params, parity=parity)[0]
-    try:
-        sr = run_scan(rec, rec.x_of(x_min), rec.x_of(x_max), points)
-    except NumericsError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(3)
+    sr = run_scan(rec, rec.x_of(x_min), rec.x_of(x_max), points)
     if fmt == "csv":
         lines = ["x,F,status,branch_id"]
         for x, ev, bid in zip(sr.xs, sr.fs, sr.branch_ids):
@@ -194,12 +201,8 @@ def roots(model, kappa, delta, parity, points, x_min, x_max, out, fmt):
     _require_recurrence(model)
     _check_window(x_min, x_max, points)
     params = _params_for(model, kappa, delta, parity)
-    try:
-        found = resolve_spectrum(model, params, (x_min, x_max),
-                                 parity=parity, points=points)
-    except NumericsError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(3)
+    found = resolve_spectrum(model, params, (x_min, x_max),
+                             parity=parity, points=points)
     if fmt == "json":
         _write(json.dumps(_roots_payload(model, params, found), indent=2) + "\n", out)
     else:
@@ -246,9 +249,6 @@ def flow(model, kappa, delta, parity, points, x_min, x_max, sweep, out, fmt):
     try:
         result = run_flow(model, params, (name, lo, hi, steps),
                           (x_min, x_max), parity=parity, points=points)
-    except NumericsError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(3)
     except ValueError as exc:
         raise click.UsageError(f"bad --sweep: {exc}") from exc
 
@@ -293,11 +293,7 @@ def flow(model, kappa, delta, parity, points, x_min, x_max, sweep, out, fmt):
               help="Also write a JSON report.")
 def validate(model, out):
     """Run the oracle/property battery; exit 4 if any check fails."""
-    try:
-        results = run_validation(model)
-    except NumericsError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(3)
+    results = run_validation(model)
     failed = 0
     for res in results:
         status = "PASS" if res.ok else "FAIL"

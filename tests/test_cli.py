@@ -275,6 +275,25 @@ def test_unread_model_flags_rejected(runner, command, model, flag, value):
     assert f"{flag} does not apply to model '{model}'" in res.output
 
 
+@pytest.mark.parametrize("target, command", [
+    ("run_scan", ["scan", "--model", "dho", "--kappa", "0.7"]),
+    ("resolve_spectrum", ["roots", "--model", "dho", "--kappa", "0.7"]),
+    ("run_flow", ["flow", "--model", "dho", "--kappa", "0.7",
+                  "--sweep", "kappa:0.5:1:3"]),
+    ("run_validation", ["validate"]),
+])
+def test_numerics_error_exits_3_from_every_command(runner, monkeypatch,
+                                                   target, command):
+    def boom(*args, **kwargs):
+        raise NumericsError("synthetic failure")
+
+    monkeypatch.setattr(f"ttrspec.cli.{target}", boom)
+    res = runner.invoke(cli, command)
+    assert res.exit_code == 3
+    assert res.stderr == "error: synthetic failure\n"
+    assert res.stdout == ""
+
+
 class TestValidateCommand:
     def test_single_model_passes(self, runner):
         res = runner.invoke(cli, ["validate", "--model", "jc"])
