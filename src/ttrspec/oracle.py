@@ -87,8 +87,7 @@ def _spin_boson(cutoff: int, onsite, hop) -> np.ndarray:
     n = np.arange(cutoff)[:, None]
     s, t = np.divmod(np.arange(4), 2)  # row and column of each block entry
     h[2 * n + s, 2 * n + t] = onsite[s, t]
-    spin = np.arange(2)
-    h[2 * n + spin, 2 * n + spin] = n + onsite.diagonal()
+    h[np.diag_indices_from(h)] += np.arange(2 * cutoff) // 2
     root = np.sqrt(n[1:])
     h[2 * n[:-1] + s, 2 * n[1:] + t] = root * hop[s, t]
     h[2 * n[1:] + t, 2 * n[:-1] + s] = root * hop.conj()[s, t]
