@@ -36,7 +36,53 @@ def params_for(tag):
     }[tag]
 
 
+def entrywise_spin_boson(tag, p, cutoff):
+    """A spinful matrix placed one entry at a time (index 2n + s), the
+    reference for the block-built matrices of ``build_hamiltonian``."""
+    bias = p.theta if tag == "gen-rabi" else p.delta
+    h = np.zeros((2 * cutoff, 2 * cutoff),
+                 dtype=complex if tag == "rabi-modified" else float)
+    for n in range(cutoff):
+        h[2 * n, 2 * n] = n + bias
+        h[2 * n + 1, 2 * n + 1] = n - bias
+        if tag == "gen-rabi":
+            h[2 * n, 2 * n + 1] = h[2 * n + 1, 2 * n] = p.delta
+        if n + 1 == cutoff:
+            continue
+        c = p.kappa * math.sqrt(n + 1)
+        for s in ((0,) if tag == "jc" else (0, 1)):
+            if tag == "gen-rabi":  # kappa sigma3 (a^+ + a)
+                i, j = 2 * n + s, 2 * (n + 1) + s
+                h[i, j] = h[j, i] = (1.0, -1.0)[s] * c
+            elif tag == "rabi-modified":  # i kappa sigma1 (a^+ - a)
+                i, j = 2 * n + s, 2 * (n + 1) + (1 - s)
+                h[i, j], h[j, i] = -1j * c, 1j * c
+            else:  # kappa sigma1 (a^+ + a), or its sigma^+ a + h.c. part
+                i, j = 2 * n + s, 2 * (n + 1) + (1 - s)
+                h[i, j] = h[j, i] = c
+    if tag == "rabi-modified":
+        u = np.repeat(np.array([1, 1j, -1, -1j])[np.arange(cutoff) % 4], 2)
+        h = np.ascontiguousarray((np.conj(u)[:, None] * h * u[None, :]).real)
+    return h
+
+
 class TestBuildHamiltonian:
+    @pytest.mark.parametrize("tag", ["rabi", "jc", "gen-rabi", "rabi-modified"])
+    def test_blocks_match_entrywise_reference(self, tag):
+        # byte for byte, signed zeros included, over signs and scales of
+        # the couplings
+        for kappa in (0.7, -0.7, 2.0, 1e-300):
+            for delta in (0.0, -0.0, 0.4, -0.3):
+                p = (GenRabiParams(kappa, delta, theta=-delta)
+                     if tag == "gen-rabi" else
+                     JcParams(kappa, delta) if tag == "jc" else
+                     RabiParams(kappa, delta))
+                for cutoff in (4, 17):
+                    got = build_hamiltonian(tag, p, cutoff).entries
+                    want = entrywise_spin_boson(tag, p, cutoff)
+                    assert got.dtype == want.dtype
+                    assert got.tobytes() == want.tobytes(), (kappa, delta, cutoff)
+
     def test_dho_two_by_two(self):
         h = build_hamiltonian("dho", DhoParams(0.7), 4)
         assert h.entries[:2, :2] == pytest.approx(np.array([[0.0, 0.7],
