@@ -277,7 +277,6 @@ def test_unread_model_flags_rejected(runner, command, model, flag, value):
 
 @pytest.mark.parametrize("target, command", [
     ("run_scan", ["scan", "--model", "dho", "--kappa", "0.7"]),
-    ("resolve_spectrum", ["roots", "--model", "dho", "--kappa", "0.7"]),
     ("run_flow", ["flow", "--model", "dho", "--kappa", "0.7",
                   "--sweep", "kappa:0.5:1:3"]),
     ("run_validation", ["validate"]),
