@@ -102,9 +102,6 @@ def char_series(rec: Recurrence, x: float) -> CharEval:
     u_prev = 1.0
 
     small_run = 1 if abs(term) <= _REL_TOL * abs(total) + _ABS_TOL else 0
-    if small_run >= _CONSECUTIVE_SMALL:
-        return CharEval(total, 1, SeriesStatus.CONVERGED, abs(term))
-
     for l in range(2, _MAX_TERMS + 1):
         a_l = rec.a(l, x)
         b_l = rec.b(l, x)

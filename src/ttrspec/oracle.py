@@ -30,14 +30,14 @@ _PARITY_LABEL_TOL = 1e-6
 class TruncatedHamiltonian:
     """Real symmetric matrix in the number basis, bandwidth <= 4.
 
-    Spinful models interleave as index i = 2n + s with s = 0 the upper
-    (sigma3 = +1) and s = 1 the lower spin state; the spinless
-    oscillator uses the Fock index directly.  ``params`` is retained so
-    the cutoff can be doubled for convergence certification.  In this
-    basis the reflection parity sigma3 (-1)**n of ``rabi``,
-    ``rabi-modified`` and ``jc`` is diagonal, so their matrices split
-    into two sectors of ``cutoff`` states each, which ``eigen_lowest``
-    diagonalizes apart.
+    Every matrix holds d states per Fock level n at index i = d n + s:
+    d = 2 for the spinful models, with s = 0 the upper (sigma3 = +1) and
+    s = 1 the lower spin state, and d = 1 for the oscillator.  ``params``
+    is retained so the cutoff can be doubled for convergence
+    certification.  In this basis the reflection parity sigma3 (-1)**n
+    of ``rabi``, ``rabi-modified`` and ``jc`` is diagonal, so their
+    matrices split into two sectors of ``cutoff`` states each, which
+    ``eigen_lowest`` diagonalizes apart.
     """
 
     dimension: int
@@ -63,50 +63,44 @@ class OracleSpectrum:
     converged_count: int
 
 
-def _dho_matrix(p: DhoParams, cutoff: int) -> np.ndarray:
-    h = np.zeros((cutoff, cutoff))
-    for n in range(cutoff):
-        h[n, n] = n
-        if n + 1 < cutoff:
-            c = p.kappa * math.sqrt(n + 1)
-            h[n, n + 1] = c
-            h[n + 1, n] = c
-    return h
+def _fock_blocks(cutoff: int, onsite, hop) -> np.ndarray:
+    """n + onsite + hop a + hop^H a^+ in the basis i = d n + s.
 
-
-def _spin_boson(cutoff: int, onsite, hop) -> np.ndarray:
-    """n + onsite + hop a + hop^H a^+ in the basis i = 2n + s.
-
-    ``onsite`` (Hermitian) and ``hop`` are 2x2 spin blocks: the block of
-    level n is n*1 + onsite, the block from n to n + 1 is
+    ``onsite`` (Hermitian) and ``hop`` are d x d blocks, d = len(onsite):
+    the block of level n is n*1 + onsite, the block from n to n + 1 is
     sqrt(n + 1) hop, and the block from n + 1 to n its conjugate
     transpose.
     """
     onsite, hop = np.asarray(onsite), np.asarray(hop)
-    h = np.zeros((2 * cutoff, 2 * cutoff), dtype=np.result_type(onsite, hop))
+    d = len(onsite)
+    h = np.zeros((d * cutoff, d * cutoff), dtype=np.result_type(onsite, hop))
     n = np.arange(cutoff)[:, None]
-    s, t = np.divmod(np.arange(4), 2)  # row and column of each block entry
-    h[2 * n + s, 2 * n + t] = onsite[s, t]
-    h[np.diag_indices_from(h)] += np.arange(2 * cutoff) // 2
+    s, t = np.divmod(np.arange(d * d), d)  # row, column of each block entry
+    h[d * n + s, d * n + t] = onsite[s, t]
+    h[np.diag_indices_from(h)] += np.arange(d * cutoff) // d
     root = np.sqrt(n[1:])
-    h[2 * n[:-1] + s, 2 * n[1:] + t] = root * hop[s, t]
-    h[2 * n[1:] + t, 2 * n[:-1] + s] = root * hop.conj()[s, t]
+    h[d * n[:-1] + s, d * n[1:] + t] = root * hop[s, t]
+    h[d * n[1:] + t, d * n[:-1] + s] = root * hop.conj()[s, t]
     return h
 
 
+def _dho_matrix(p: DhoParams, cutoff: int) -> np.ndarray:
+    return _fock_blocks(cutoff, [[0.0]], [[p.kappa]])
+
+
 def _rabi_matrix(p: RabiParams, cutoff: int) -> np.ndarray:
-    return _spin_boson(cutoff, [[p.delta, 0.0], [0.0, -p.delta]],
+    return _fock_blocks(cutoff, [[p.delta, 0.0], [0.0, -p.delta]],
                        [[0.0, p.kappa], [p.kappa, 0.0]])
 
 
 def _jc_matrix(p: JcParams, cutoff: int) -> np.ndarray:
-    return _spin_boson(cutoff, [[p.delta, 0.0], [0.0, -p.delta]],
+    return _fock_blocks(cutoff, [[p.delta, 0.0], [0.0, -p.delta]],
                        [[0.0, p.kappa], [0.0, 0.0]])
 
 
 def _gen_rabi_matrix(p: GenRabiParams, cutoff: int) -> np.ndarray:
     # spin-boson form: n + kappa sigma3 (a^+ + a) + theta sigma3 + delta sigma1
-    return _spin_boson(cutoff, [[p.theta, p.delta], [p.delta, -p.theta]],
+    return _fock_blocks(cutoff, [[p.theta, p.delta], [p.delta, -p.theta]],
                        [[p.kappa, 0.0], [0.0, -p.kappa]])
 
 
@@ -114,7 +108,7 @@ def _modified_rabi_matrix(p: RabiParams, cutoff: int) -> np.ndarray:
     # plane-wave coupling i kappa sigma1 (a^+ - a); the phase rotation
     # |n> -> i**n |n>, with exact powers of i, turns it into the standard
     # real coupling.
-    hc = _spin_boson(cutoff, [[p.delta, 0.0], [0.0, -p.delta]],
+    hc = _fock_blocks(cutoff, [[p.delta, 0.0], [0.0, -p.delta]],
                      [[0.0, -1j * p.kappa], [-1j * p.kappa, 0.0]])
     u = np.repeat(np.array([1, 1j, -1, -1j])[np.arange(cutoff) % 4], 2)
     hr = np.conj(u)[:, None] * hc * u[None, :]

@@ -275,21 +275,30 @@ def test_unread_model_flags_rejected(runner, command, model, flag, value):
     assert f"{flag} does not apply to model '{model}'" in res.output
 
 
-@pytest.mark.parametrize("target, command", [
-    ("run_scan", ["scan", "--model", "dho", "--kappa", "0.7"]),
-    ("run_flow", ["flow", "--model", "dho", "--kappa", "0.7",
-                  "--sweep", "kappa:0.5:1:3"]),
-    ("run_validation", ["validate"]),
+_SCAN = ["scan", "--model", "dho", "--kappa", "0.7"]
+_FLOW = ["flow", "--model", "dho", "--kappa", "0.7", "--sweep", "kappa:0.5:1:3"]
+
+
+@pytest.mark.parametrize("target, command, error, code", [
+    pytest.param("run_scan", _SCAN, NumericsError, 3, id="run_scan-command0"),
+    pytest.param("run_flow", _FLOW, NumericsError, 3, id="run_flow-command1"),
+    pytest.param("run_validation", ["validate"], NumericsError, 3,
+                 id="run_validation-command2"),
+    pytest.param("run_scan", _SCAN, ValueError, 2, id="run_scan-ValueError"),
+    pytest.param("resolve_spectrum", ["roots", "--model", "dho", "--kappa", "0.7"],
+                 ValueError, 2, id="resolve_spectrum-ValueError"),
+    pytest.param("run_flow", _FLOW, ValueError, 2, id="run_flow-ValueError"),
 ])
-def test_numerics_error_exits_3_from_every_command(runner, monkeypatch,
-                                                   target, command):
+def test_numerics_error_exits_3_from_every_command(runner, monkeypatch, target,
+                                                   command, error, code):
+    # a library ValueError is an argument error: exit 2 with its message
     def boom(*args, **kwargs):
-        raise NumericsError("synthetic failure")
+        raise error("synthetic failure")
 
     monkeypatch.setattr(f"ttrspec.cli.{target}", boom)
     res = runner.invoke(cli, command)
-    assert res.exit_code == 3
-    assert res.stderr == "error: synthetic failure\n"
+    assert res.exit_code == code
+    assert res.stderr == {3: "error: ", 2: "Error: "}[code] + "synthetic failure\n"
     assert res.stdout == ""
 
 

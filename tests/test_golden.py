@@ -1,10 +1,10 @@
 """Golden bytes: identical flags give byte-identical output.
 
-Each CLI digest is the md5 of the stdout of one ``ttrspec`` invocation,
-and each matrix digest the md5 of the entries of one truncated oracle
-Hamiltonian at cutoff 64, signed zeros included.  A change that alters
-any of these bytes on purpose updates the digest and says why in
-CHANGES.md.
+Each CLI digest is the md5 of the stdout of one ``ttrspec`` invocation
+(help text at a fixed width of 80 columns), and each matrix digest the
+md5 of the entries of one truncated oracle Hamiltonian at cutoff 64,
+signed zeros included.  A change that alters any of these bytes on
+purpose updates the digest and says why in CHANGES.md.
 """
 
 import hashlib
@@ -41,6 +41,13 @@ GOLDEN = [
      "74cd59ff07f271c5b0f8db2c9da2779a"),
 ]
 
+# the order and text of the flags of the solving commands
+HELP = [
+    ("scan", "ec21919fcc9069b40fd48857a62631bf"),
+    ("roots", "5e53701e24234734d117544b296f6cf0"),
+    ("flow", "cc268f4ab19acbecc892fc067095e77b"),
+]
+
 # the parameters of ``params_for`` in tests/test_oracle.py
 MATRICES = [
     ("dho", DhoParams(0.7), "3032cc2d5c895505e8882caaae12e6e9"),
@@ -56,6 +63,13 @@ MATRICES = [
                                                       for i, (a, _) in enumerate(GOLDEN)])
 def test_stdout_digest(args, digest):
     res = CliRunner().invoke(cli, args.split())
+    assert res.exit_code == 0, res.output
+    assert hashlib.md5(res.stdout.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("command, digest", HELP, ids=[h[0] for h in HELP])
+def test_help_digest(command, digest):
+    res = CliRunner().invoke(cli, [command, "--help"], terminal_width=80)
     assert res.exit_code == 0, res.output
     assert hashlib.md5(res.stdout.encode()).hexdigest() == digest
 

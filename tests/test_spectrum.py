@@ -1,5 +1,6 @@
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -452,3 +453,19 @@ class TestFlow:
             flow("dho", DhoParams(0.7), ("theta", 0.0, 1.0, 3), (-1.0, 1.0))
         with pytest.raises(ValueError, match="kappa must be nonzero"):
             flow("dho", DhoParams(0.7), ("kappa", -0.5, 0.5, 3), (-1.0, 1.0))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: scan(dho_recurrence(DhoParams(0.7)), -1.0, math.inf, 100),
+    lambda: resolve_spectrum("dho", DhoParams(0.7), (-1.0, math.inf)),
+    lambda: resolve_spectrum("dho", DhoParams(0.7), (-math.inf, 1.0)),
+    lambda: flow("rabi-parity", RabiParams(0.7, 0.4), ("delta", 0.0, math.inf, 3),
+                 (-1.0, 1.0)),
+], ids=["scan", "resolve_spectrum-hi", "resolve_spectrum-lo", "flow"])
+def test_non_finite_bounds_rejected(call):
+    """An infinite window or sweep bound is an argument error, raised
+    before any grid is built from it, so no numpy warning is emitted."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="finite"):
+            call()
