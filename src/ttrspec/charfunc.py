@@ -93,27 +93,27 @@ def char_series(rec: Recurrence, x: float) -> CharEval:
     CoefficientPoleError
         If some a_l with l >= 1 vanishes (the transform needs a_l != 0).
     """
-    a0 = rec.a(0, x)
-    a_prev = rec.a(1, x)
+    a, b, rel_tol, abs_tol, guard = rec.a, rec.b, _REL_TOL, _ABS_TOL, _POLE_GUARD
+    a0 = a(0, x)
+    a_prev = a(1, x)
     if a_prev == 0.0:
         raise CoefficientPoleError("coefficient pole at level 1")
-    term = -rec.b(1, x) / a_prev
+    term = -b(1, x) / a_prev
     total = a0 + term
     u_prev = 1.0
 
-    small_run = 1 if abs(term) <= _REL_TOL * abs(total) + _ABS_TOL else 0
+    small_run = 1 if abs(term) <= rel_tol * abs(total) + abs_tol else 0
     for l in range(2, _MAX_TERMS + 1):
-        a_l = rec.a(l, x)
-        b_l = rec.b(l, x)
+        a_l = a(l, x)
         if a_l == 0.0:
             raise CoefficientPoleError(f"coefficient pole at level {l}")
-        denom = 1.0 - u_prev * b_l / (a_l * a_prev)
-        if abs(denom) < _POLE_GUARD:
+        denom = 1.0 - u_prev * b(l, x) / (a_l * a_prev)
+        if -guard < denom < guard:
             return CharEval(total, l - 1, SeriesStatus.POLE, abs(term))
         u = 1.0 / denom
         term *= u - 1.0
         total += term
-        if abs(term) <= _REL_TOL * abs(total) + _ABS_TOL:
+        if abs(term) <= rel_tol * abs(total) + abs_tol:
             small_run += 1
             if small_run >= _CONSECUTIVE_SMALL:
                 return CharEval(total, l, SeriesStatus.CONVERGED, abs(term))

@@ -117,9 +117,10 @@ def _solve_options(fn):
     return fn
 
 
-class _Cli(click.Group):
-    """The command group: a ValueError from any command is an argument
-    error (exit 2), and a NumericsError a numerical failure (exit 3)."""
+class _Command(click.Command):
+    """A command whose ValueError is an argument error (exit 2, printed
+    with the command's usage line), and whose NumericsError is a
+    numerical failure (exit 3)."""
 
     def invoke(self, ctx):
         try:
@@ -128,7 +129,11 @@ class _Cli(click.Group):
             click.echo(f"error: {exc}", err=True)
             sys.exit(3)
         except ValueError as exc:
-            raise click.UsageError(str(exc)) from exc
+            raise click.UsageError(str(exc), ctx) from exc
+
+
+class _Cli(click.Group):
+    command_class = _Command
 
 
 @click.group(cls=_Cli)

@@ -109,17 +109,18 @@ def rabi_displaced_recurrence(p: RabiParams) -> Recurrence:
     """
     kappa, delta = p.kappa, p.delta
     d2 = delta * delta
+    two_kappa = 2.0 * kappa
 
-    def a(n: int, x: float) -> float:
-        gap = n - x
-        if delta == 0.0:
-            f = 2.0 * kappa + gap / (2.0 * kappa)
-        else:
+    if delta == 0.0:
+        def a(n: int, x: float) -> float:
+            return -(two_kappa + (n - x) / two_kappa) / (n + 1)
+    else:
+        def a(n: int, x: float) -> float:
+            gap = n - x
             if gap == 0.0:
                 raise CoefficientPoleError(
                     f"coefficient pole at level {n}: x = {n}")
-            f = 2.0 * kappa + (gap - d2 / gap) / (2.0 * kappa)
-        return -f / (n + 1)
+            return -(two_kappa + (gap - d2 / gap) / two_kappa) / (n + 1)
 
     def b(n: int, x: float) -> float:
         return 1.0 / (n + 1)
@@ -154,10 +155,10 @@ def parity_rabi_recurrence(p: RabiParams, parity: str) -> Recurrence:
         raise ValueError("parity must be 'plus' or 'minus'")
     kappa, delta = p.kappa, p.delta
     s = 1.0 if parity == PARITY_PLUS else -1.0
+    signed = (s * delta, -s * delta)  # by n & 1; exact for s = +-1
 
     def a(n: int, x: float) -> float:
-        signed = s * delta if n % 2 == 0 else -s * delta
-        return (n - x + signed) / (kappa * (n + 1))
+        return (n - x + signed[n & 1]) / (kappa * (n + 1))
 
     def b(n: int, x: float) -> float:
         return 1.0 / (n + 1)

@@ -109,7 +109,7 @@ class Recurrence:
         if self.sectors:
             energy = self.energy_of(x)
             return sum(s.levels_below(s.x_of(energy)) for s in self.sectors)
-        if np.ndim(x):
+        if isinstance(x, np.ndarray):
             return _sturm_counts(self, np.asarray(x, dtype=float))
         return _sturm_count(self, x)
 
@@ -182,21 +182,23 @@ def _sturm_count(rec: Recurrence, x: float) -> int:
     Raises NumericsError on a non-finite pivot (for instance at a
     non-finite x) and when the count has not settled by ``_MAX_LEVELS``.
     """
+    a, b, isfinite = rec.a, rec.b, math.isfinite
     sg = 1.0 if rec.profile.a_coef > 0 else -1.0
     count = 0
     ratio_prev = 0.0  # no level before 0, so the count cannot stop there
-    a_n = rec.a(0, x)
+    a_n = a(0, x)
     p = a_n
     for n in range(_MAX_LEVELS):
-        if not math.isfinite(p):
+        if not isfinite(p):
             raise NumericsError(f"non-finite pivot at level {n} (x = {x})")
         if p == 0.0:
             p = sg * sys.float_info.epsilon
         elif sg * p < 0.0:
             count += 1
-        a_next = rec.a(n + 1, x)
-        b_next = rec.b(n + 1, x)
-        ratio = abs(b_next / (a_n * a_next)) if a_n * a_next != 0.0 else math.inf
+        a_next = a(n + 1, x)
+        b_next = b(n + 1, x)
+        prod = a_n * a_next
+        ratio = abs(b_next / prod) if prod != 0.0 else math.inf
         if (ratio <= 0.25 and ratio < ratio_prev and sg * a_next > 0.0
                 and sg * p >= 0.5 * sg * a_n > 0.0):
             return count
@@ -204,6 +206,11 @@ def _sturm_count(rec: Recurrence, x: float) -> int:
         p = a_next - b_next / p
         a_n = a_next
     raise NumericsError(f"level count did not settle by level {_MAX_LEVELS} (x = {x})")
+
+
+def _lanes(v: float | np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Coefficient value v as one lane per point (np.full for a scalar)."""
+    return v if isinstance(v, np.ndarray) else np.full(shape, v)
 
 
 def _sturm_counts(rec: Recurrence, x: np.ndarray) -> np.ndarray:
@@ -214,14 +221,14 @@ def _sturm_counts(rec: Recurrence, x: np.ndarray) -> np.ndarray:
     arithmetic rounds exactly as Python floats do, so every count equals
     the scalar one.  The errors are the scalar ones, reported for the
     first failing lane.  A coefficient that ignores x may be a scalar;
-    it is broadcast over the lanes.
+    it is given one lane per point.
     """
     sg = 1.0 if rec.profile.a_coef > 0 else -1.0
     counts = np.zeros(x.shape, dtype=int)
     lane = np.arange(x.size)  # position in x of each live lane
     count = np.zeros(x.size, dtype=int)
     ratio_prev = np.zeros(x.size)  # no level before 0, so no lane stops there
-    a_n = np.broadcast_to(rec.a(0, x), x.shape)
+    a_n = _lanes(rec.a(0, x), x.shape)
     p = a_n
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for n in range(_MAX_LEVELS):
@@ -233,8 +240,8 @@ def _sturm_counts(rec: Recurrence, x: np.ndarray) -> np.ndarray:
                     f"non-finite pivot at level {n} (x = {x[bad][0]})")
             p = np.where(p == 0.0, sg * sys.float_info.epsilon, p)
             count += sg * p < 0.0
-            a_next = np.broadcast_to(rec.a(n + 1, x), x.shape)
-            b_next = np.broadcast_to(rec.b(n + 1, x), x.shape)
+            a_next = _lanes(rec.a(n + 1, x), x.shape)
+            b_next = _lanes(rec.b(n + 1, x), x.shape)
             prod = a_n * a_next
             ratio = np.where(prod != 0.0, np.abs(b_next / prod), np.inf)
             done = ((ratio <= 0.25) & (ratio < ratio_prev) & (sg * a_next > 0.0)

@@ -156,11 +156,13 @@ def scan(rec: Recurrence, x_lo: float, x_hi: float, points: int) -> ScanResult:
     level changes sign across it unless a pole lies as close, and one
     holding several holds levels closer than 1e-10.  The ends of these
     cells join the grid, and each returned x carries exactly one
-    evaluation of char(x).  A window that is not finite and ascending,
-    or fewer than 16 points, raises ValueError.
+    evaluation of char(x).  A window that is not ascending, or whose
+    bounds or width are not finite, or fewer than 16 points, raises
+    ValueError.
     """
-    if not (math.isfinite(x_lo) and math.isfinite(x_hi)):
-        raise ValueError(f"window bounds must be finite, got [{x_lo}, {x_hi}]")
+    if not math.isfinite(x_hi - x_lo):
+        raise ValueError(
+            f"window bounds and width must be finite, got [{x_lo}, {x_hi}]")
     if not x_lo < x_hi:
         raise ValueError("x_lo must be < x_hi")
     if points < 16:
@@ -268,7 +270,8 @@ def resolve_spectrum(model: str, params, window: tuple[float, float], *,
     For the parity-resolved model both branches are scanned and merged
     into one ascending-energy list carrying parity labels; single-
     recurrence models carry parity None.  ``scan`` raises ValueError for
-    a window that is not finite and ascending: x = E + shift keeps both.
+    a window that is not ascending, or whose bounds or width are not
+    finite: x = E + shift keeps all three.
     """
     e_lo, e_hi = window
     merged: list[Root] = []
@@ -286,18 +289,19 @@ def flow(model: str, params, sweep: tuple[str, float, float, int],
     """Resolve the spectrum along a parameter sweep and build level tracks.
 
     sweep = (name, lo, hi, steps) with name a field of ``params``
-    (e.g. 'delta' or 'kappa') and finite lo, hi.  The parameters of every
-    step are built before the first solve, so a step they reject
-    (kappa = 0) raises ValueError at once.  Each Zero root joins the
-    track of its (parity, ``Root.index``) identity; see ``FlowResult``.
+    (e.g. 'delta' or 'kappa') and lo, hi and hi - lo finite.  The
+    parameters of every step are built before the first solve, so a step
+    they reject (kappa = 0) raises ValueError at once.  Each Zero root
+    joins the track of its (parity, ``Root.index``) identity; see
+    ``FlowResult``.
     """
     name, lo, hi, steps = sweep
     if steps < 1:
         raise ValueError("steps must be >= 1")
     if name not in {f.name for f in fields(params)}:
         raise ValueError(f"'{name}' is not a parameter of {type(params).__name__}")
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ValueError(f"sweep bounds must be finite, got [{lo}, {hi}]")
+    if not math.isfinite(hi - lo):
+        raise ValueError(f"sweep bounds and span must be finite, got [{lo}, {hi}]")
     values = [float(v) for v in np.linspace(lo, hi, steps)]
     step_params = [replace(params, **{name: v}) for v in values]
 

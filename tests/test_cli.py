@@ -138,8 +138,10 @@ class TestRootsCommand:
 
     def test_reversed_window(self, runner):
         res = runner.invoke(cli, ["roots", "--model", "dho", "--kappa", "0.7",
-                                  "--x-min", "2", "--x-max", "1"])
+                                  "--x-min", "2", "--x-max", "1"], prog_name="ttrspec")
         assert res.exit_code == 2
+        # the library's ValueError is shown like the CLI's own usage errors
+        assert res.stderr.startswith("Usage: ttrspec roots [OPTIONS]\n")
         res = runner.invoke(cli, ["scan", "--model", "dho", "--kappa", "0.7",
                                   "--points", "4"])
         assert res.exit_code == 2
@@ -296,9 +298,11 @@ def test_numerics_error_exits_3_from_every_command(runner, monkeypatch, target,
         raise error("synthetic failure")
 
     monkeypatch.setattr(f"ttrspec.cli.{target}", boom)
-    res = runner.invoke(cli, command)
+    res = runner.invoke(cli, command, prog_name="ttrspec")
     assert res.exit_code == code
-    assert res.stderr == {3: "error: ", 2: "Error: "}[code] + "synthetic failure\n"
+    usage = (f"Usage: ttrspec {command[0]} [OPTIONS]\n"
+             f"Try 'ttrspec {command[0]} --help' for help.\n\n")
+    assert res.stderr == {3: "error: ", 2: usage + "Error: "}[code] + "synthetic failure\n"
     assert res.stdout == ""
 
 

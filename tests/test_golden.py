@@ -1,19 +1,31 @@
 """Golden bytes: identical flags give byte-identical output.
 
 Each CLI digest is the md5 of the stdout of one ``ttrspec`` invocation
-(help text at a fixed width of 80 columns), and each matrix digest the
-md5 of the entries of one truncated oracle Hamiltonian at cutoff 64,
-signed zeros included.  A change that alters any of these bytes on
-purpose updates the digest and says why in CHANGES.md.
+(help text at a fixed width of 80 columns), each matrix digest the md5
+of the entries of one truncated oracle Hamiltonian at cutoff 64, signed
+zeros included, and each kernel digest the md5 of the ``repr`` of every
+``char_series`` result (or the text of its CoefficientPoleError), or of
+every level count, on a fixed grid: the CLI digests see only polished
+roots, the kernel digests every series term and every pivot.  A change
+that alters any of these bytes on purpose updates the digest and says
+why in CHANGES.md.
 """
 
 import hashlib
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from ttrspec import DhoParams, GenRabiParams, JcParams, RabiParams, build_hamiltonian
+from ttrspec.charfunc import char_series
 from ttrspec.cli import cli
+from ttrspec.errors import CoefficientPoleError
+from ttrspec.models import (
+    dho_recurrence,
+    parity_rabi_recurrence,
+    rabi_displaced_recurrence,
+)
 
 GOLDEN = [
     ("roots --model dho --kappa 0.7 --x-min -1 --x-max 6 --points 1000 --format csv",
@@ -58,6 +70,42 @@ MATRICES = [
     ("rabi-modified", RabiParams(0.7, 0.4), "4a5e478a71d7127e3c207eb52065f8ca"),
 ]
 
+# x = -1, -0.95, ..., 4, the integers exact: the coefficient zeros of dho
+# at kappa = 1 and the explicit poles of rabi at delta = 0.4
+KERNEL_GRID = [i / 20 - 1 for i in range(101)]
+
+# (id, recurrence, char_series digest, levels_below digest); at delta = 0
+# both rabi-parity sectors are the dho recurrence, bit for bit
+KERNELS = [
+    ("dho-0.7", dho_recurrence(DhoParams(0.7)),
+     "316591a2102cec806763f9c9d4e71cb7", "72eeae923ef33a144e069d533078b2f9"),
+    ("dho-1", dho_recurrence(DhoParams(1.0)),
+     "760a072b3773750e531d4951d94007cb", "7063106105cf67028710a2483ca6caa9"),
+    ("parity-plus-0.4", parity_rabi_recurrence(RabiParams(0.7, 0.4), "plus"),
+     "948fe94b5705118a92a72f9b084906a1", "e60681a9133907c82fb991d09c580293"),
+    ("parity-minus-0.4", parity_rabi_recurrence(RabiParams(0.7, 0.4), "minus"),
+     "e1c9e14ce6d6ac0339574ee6f81cd320", "c6e184a08c051f339fdef96427ba4d66"),
+    ("parity-plus-0", parity_rabi_recurrence(RabiParams(0.7, 0.0), "plus"),
+     "316591a2102cec806763f9c9d4e71cb7", "72eeae923ef33a144e069d533078b2f9"),
+    ("parity-minus-0", parity_rabi_recurrence(RabiParams(0.7, 0.0), "minus"),
+     "316591a2102cec806763f9c9d4e71cb7", "72eeae923ef33a144e069d533078b2f9"),
+    ("rabi-0.4", rabi_displaced_recurrence(RabiParams(0.7, 0.4)),
+     "8bcdfe60a7fff3da496a24a8b81d4c06", "57a76250d594986149179b42068e0e63"),
+    ("rabi-0", rabi_displaced_recurrence(RabiParams(0.7, 0.0)),
+     "f3d93ab0d72fe17692fc92e0c4fe7df2", "27f219cb689dfd37b4aa898f9dccda3d"),
+]
+
+
+def _md5(text: str) -> str:
+    return hashlib.md5(text.encode()).hexdigest()
+
+
+def _series_text(rec, x) -> str:
+    try:
+        return repr(char_series(rec, x))
+    except CoefficientPoleError as exc:
+        return f"CoefficientPoleError: {exc}"
+
 
 @pytest.mark.parametrize("args, digest", GOLDEN, ids=[a.split()[0] + str(i)
                                                       for i, (a, _) in enumerate(GOLDEN)])
@@ -78,3 +126,12 @@ def test_help_digest(command, digest):
 def test_matrix_digest(tag, params, digest):
     entries = build_hamiltonian(tag, params, 64).entries
     assert hashlib.md5(entries.tobytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("rec, series_digest, count_digest", [k[1:] for k in KERNELS],
+                         ids=[k[0] for k in KERNELS])
+def test_kernel_digest(rec, series_digest, count_digest):
+    counts = [rec.levels_below(x) for x in KERNEL_GRID]
+    assert rec.levels_below(np.array(KERNEL_GRID)).tolist() == counts
+    assert _md5("\n".join(_series_text(rec, x) for x in KERNEL_GRID)) == series_digest
+    assert _md5(repr(counts)) == count_digest

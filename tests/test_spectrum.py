@@ -461,10 +461,16 @@ class TestFlow:
     lambda: resolve_spectrum("dho", DhoParams(0.7), (-math.inf, 1.0)),
     lambda: flow("rabi-parity", RabiParams(0.7, 0.4), ("delta", 0.0, math.inf, 3),
                  (-1.0, 1.0)),
-], ids=["scan", "resolve_spectrum-hi", "resolve_spectrum-lo", "flow"])
+    lambda: scan(dho_recurrence(DhoParams(0.7)), -1e308, 1e308, 100),
+    lambda: resolve_spectrum("dho", DhoParams(0.7), (-1e308, 1e308), points=100),
+    lambda: flow("rabi-parity", RabiParams(0.7, 0.4), ("delta", -1e308, 1e308, 3),
+                 (-1.0, 1.0)),
+], ids=["scan", "resolve_spectrum-hi", "resolve_spectrum-lo", "flow",
+        "scan-width", "resolve_spectrum-width", "flow-span"])
 def test_non_finite_bounds_rejected(call):
-    """An infinite window or sweep bound is an argument error, raised
-    before any grid is built from it, so no numpy warning is emitted."""
+    """An infinite window or sweep bound, or finite bounds whose width
+    overflows, is an argument error, raised before any grid is built
+    from it, so no numpy warning is emitted."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="finite"):
