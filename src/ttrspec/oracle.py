@@ -28,7 +28,8 @@ _PARITY_LABEL_TOL = 1e-6
 
 @dataclass(frozen=True)
 class TruncatedHamiltonian:
-    """Real symmetric matrix in the number basis, bandwidth <= 4.
+    """Hermitian matrix in the number basis, bandwidth <= 4; real
+    symmetric for every model but ``rabi-modified``.
 
     Every matrix holds d states per Fock level n at index i = d n + s:
     d = 2 for the spinful models, with s = 0 the upper (sigma3 = +1) and
@@ -105,18 +106,9 @@ def _gen_rabi_matrix(p: GenRabiParams, cutoff: int) -> np.ndarray:
 
 
 def _modified_rabi_matrix(p: RabiParams, cutoff: int) -> np.ndarray:
-    # plane-wave coupling i kappa sigma1 (a^+ - a); the phase rotation
-    # |n> -> i**n |n>, with exact powers of i, turns it into the standard
-    # real coupling.
-    hc = _fock_blocks(cutoff, [[p.delta, 0.0], [0.0, -p.delta]],
-                     [[0.0, -1j * p.kappa], [-1j * p.kappa, 0.0]])
-    u = np.repeat(np.array([1, 1j, -1, -1j])[np.arange(cutoff) % 4], 2)
-    hr = np.conj(u)[:, None] * hc * u[None, :]
-    residue = float(np.max(np.abs(hr.imag)))
-    if residue > 1e-12:
-        raise NumericsError(
-            f"phase rotation left imaginary residue {residue:g}")
-    return np.ascontiguousarray(hr.real)
+    # plane-wave coupling i kappa sigma1 (a^+ - a): complex Hermitian
+    return _fock_blocks(cutoff, [[p.delta, 0.0], [0.0, -p.delta]],
+                       [[0.0, -1j * p.kappa], [-1j * p.kappa, 0.0]])
 
 
 _BUILDERS = {

@@ -24,8 +24,6 @@ import sys
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
 from .errors import NumericsError
 
 
@@ -68,12 +66,8 @@ class Recurrence:
     """Immutable three-term recurrence with its asymptotic profile.
 
     ``a`` and ``b`` map (n, x) to the coefficients at level n for energy
-    parameter x; both must be pure functions.  ``b`` is only ever queried
-    for n >= 1 and must be nonzero away from declared poles.  For a
-    recurrence counted directly (one without ``sectors``), ``a`` and
-    ``b`` must also accept a 1-D float array x and act on it
-    elementwise, since ``levels_below`` counts a whole grid in one call;
-    a coefficient that ignores x may return a scalar.
+    parameter x; both must be pure functions of a float x.  ``b`` is only
+    ever queried for n >= 1 and must be nonzero away from declared poles.
     ``explicit_poles`` lists the abscissas inside a window where some
     coefficient is singular (empty for most models).  ``energy_shift``
     records the map between the recurrence variable and physical energy:
@@ -98,19 +92,16 @@ class Recurrence:
     #: level of several sectors at once is counted once per sector
     sectors: tuple["Recurrence", ...] = ()
 
-    def levels_below(self, x: float | np.ndarray) -> int | np.ndarray:
+    def levels_below(self, x: float) -> int:
         """Number of regular levels below x, counted exactly.
 
         The negative forward pivots of the recurrence, or, when
         ``sectors`` is set, the sum of the sectors' counts at the same
-        energy.  For a 1-D array x the counts come back as an integer
-        array, equal to the scalar counts point by point.
+        energy.
         """
         if self.sectors:
             energy = self.energy_of(x)
             return sum(s.levels_below(s.x_of(energy)) for s in self.sectors)
-        if isinstance(x, np.ndarray):
-            return _sturm_counts(self, np.asarray(x, dtype=float))
         return _sturm_count(self, x)
 
     def energy_of(self, x: float) -> float:
@@ -206,56 +197,6 @@ def _sturm_count(rec: Recurrence, x: float) -> int:
         p = a_next - b_next / p
         a_n = a_next
     raise NumericsError(f"level count did not settle by level {_MAX_LEVELS} (x = {x})")
-
-
-def _lanes(v: float | np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Coefficient value v as one lane per point (np.full for a scalar)."""
-    return v if isinstance(v, np.ndarray) else np.full(shape, v)
-
-
-def _sturm_counts(rec: Recurrence, x: np.ndarray) -> np.ndarray:
-    """``_sturm_count`` at every point of a 1-D array x, one numpy lane each.
-
-    The lanes walk the same pivots under the same stop rule, and each
-    lane retires once its count has settled.  Elementwise float64
-    arithmetic rounds exactly as Python floats do, so every count equals
-    the scalar one.  The errors are the scalar ones, reported for the
-    first failing lane.  A coefficient that ignores x may be a scalar;
-    it is given one lane per point.
-    """
-    sg = 1.0 if rec.profile.a_coef > 0 else -1.0
-    counts = np.zeros(x.shape, dtype=int)
-    lane = np.arange(x.size)  # position in x of each live lane
-    count = np.zeros(x.size, dtype=int)
-    ratio_prev = np.zeros(x.size)  # no level before 0, so no lane stops there
-    a_n = _lanes(rec.a(0, x), x.shape)
-    p = a_n
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for n in range(_MAX_LEVELS):
-            if not lane.size:
-                return counts
-            bad = ~np.isfinite(p)
-            if bad.any():
-                raise NumericsError(
-                    f"non-finite pivot at level {n} (x = {x[bad][0]})")
-            p = np.where(p == 0.0, sg * sys.float_info.epsilon, p)
-            count += sg * p < 0.0
-            a_next = _lanes(rec.a(n + 1, x), x.shape)
-            b_next = _lanes(rec.b(n + 1, x), x.shape)
-            prod = a_n * a_next
-            ratio = np.where(prod != 0.0, np.abs(b_next / prod), np.inf)
-            done = ((ratio <= 0.25) & (ratio < ratio_prev) & (sg * a_next > 0.0)
-                    & (sg * p >= 0.5 * sg * a_n) & (0.5 * sg * a_n > 0.0))
-            if done.any():
-                counts[lane[done]] = count[done]
-                live = ~done
-                lane, x, count, ratio = lane[live], x[live], count[live], ratio[live]
-                p, a_next, b_next = p[live], a_next[live], b_next[live]
-            ratio_prev = ratio
-            p = a_next - b_next / p
-            a_n = a_next
-    raise NumericsError(
-        f"level count did not settle by level {_MAX_LEVELS} (x = {x[0]})")
 
 
 def tail_ratio_estimate(rec: Recurrence, n: int, x: float) -> float:

@@ -7,19 +7,21 @@ forward pivots, and that count alone isolates every level: a cell whose
 count rises by m holds exactly m (Sturm bisection; Barth, Martin &
 Wilkinson, 1967).
 
-``scan`` tabulates char(x) and the count on a grid.  A cell changes sign
-once per simple zero and once per pole, so across a cell whose count
-rises by 0 or 1 a sign change that the count does not account for is a
-pole and ends a branch, as do explicit coefficient poles and
-PoleDetected points.  A cell whose count rises by 2 or more holds
-levels closer than 1e-10, such as a degenerate pair, which char(x) may
-cross with either sign, so its sign decides nothing.  ``scan`` also
+``scan`` tabulates char(x) and the count on a grid.  The count never
+falls with x, so it is taken only where a bisection over the grid rows
+needs it: a run of rows whose end counts agree holds no level.  A cell
+changes sign once per simple zero and once per pole, so across a cell
+whose count rises by 0 or 1 a sign change that the count does not
+account for is a pole and ends a branch, as do explicit coefficient
+poles and PoleDetected points.  A cell whose count rises by 2 or more
+holds levels closer than 1e-10, such as a degenerate pair, which
+char(x) may cross with either sign, so its sign decides nothing.  ``scan`` also
 halves every cell whose count rises down to 1e-10; ``find_roots``
 polishes each such cell once, from the scan's char(x) at its ends and
 up to three secant steps inside it, and returns one root per level the
 count puts there.  The count assumes a recurrence whose coefficients
 form a pencil of the shipped orientation (see ``Recurrence``);
-NumericsError is raised where it falls.
+NumericsError is raised where two of the counts taken fall.
 """
 
 from __future__ import annotations
@@ -113,58 +115,75 @@ def _evaluate(rec: Recurrence, x: float) -> CharEval:
         return CharEval(math.nan, 0, SeriesStatus.POLE, math.inf)
 
 
-def _isolate(rec: Recurrence, xs: list[float],
-             counts: list[int]) -> list[tuple[float, float, int, int]]:
-    """The cells (lo, hi, count_lo, count_hi) that hold the levels counted
-    between consecutive ``xs``, in ascending order.
+def _isolate(rec: Recurrence, grid: list[float]) -> dict[float, int]:
+    """The level count at every grid row and at both ends of the cell of
+    every level, as {x: count}.
 
-    Every cell whose count rises is halved on the count down to 1e-10, so
-    a cell still holding several levels holds levels closer than that
-    (degenerate, or of different sectors).  NumericsError is raised where
-    the count falls.
+    The count never falls with x, so a run of grid rows whose end counts
+    agree holds no level, and every row in it has that count.  A run
+    whose count rises is split at its middle row, and a single grid cell
+    whose count rises is halved on the count down to 1e-10, so a cell
+    still holding several levels holds levels closer than that
+    (degenerate, or of different sectors).  This takes about
+    levels * log2(rows/levels) counts.  NumericsError is raised where
+    the count falls between two of the points it is taken at.
     """
-    stack = list(zip(xs, xs[1:], counts, counts[1:]))[::-1]
-    cells = []
+    c_first, c_last = rec.levels_below(grid[0]), rec.levels_below(grid[-1])
+    count_at = {grid[0]: c_first, grid[-1]: c_last}
+    # (lo, hi, count at lo, count at hi, indices of the grid rows lo ... hi;
+    # none inside a grid cell)
+    stack = [(grid[0], grid[-1], c_first, c_last, range(len(grid)))]
     while stack:
-        lo, hi, c_lo, c_hi = stack.pop()
+        lo, hi, c_lo, c_hi, rows = stack.pop()
         if c_hi < c_lo:
             raise NumericsError(
                 f"level count falls from {c_lo} to {c_hi} across [{lo}, {hi}] "
                 f"in '{rec.label}': its coefficients are not a pencil of the "
                 "orientation the count assumes")
         if c_hi == c_lo:
+            count_at.update((grid[k], c_lo) for k in rows)
             continue
-        mid = 0.5 * (lo + hi)
-        if hi - lo > _X_TOL and lo < mid < hi:
-            c_mid = rec.levels_below(mid)
-            stack += [(mid, hi, c_mid, c_hi), (lo, mid, c_lo, c_mid)]
+        if len(rows) > 2:
+            m = len(rows) // 2
+            mid, left, right = grid[rows[m]], rows[:m + 1], rows[m:]
         else:
-            cells.append((lo, hi, c_lo, c_hi))
-    return cells
+            mid, left, right = 0.5 * (lo + hi), range(0), range(0)
+            if not (hi - lo > _X_TOL and lo < mid < hi):
+                count_at[lo], count_at[hi] = c_lo, c_hi
+                continue
+        c_mid = rec.levels_below(mid)
+        if left:
+            count_at[mid] = c_mid
+        stack += [(mid, hi, c_mid, c_hi, right), (lo, mid, c_lo, c_mid, left)]
+    return count_at
 
 
 def scan(rec: Recurrence, x_lo: float, x_hi: float, points: int) -> ScanResult:
     """Evaluate char(x) and the level count on a grid over [x_lo, x_hi].
 
-    ``rec.levels_below`` must rise with x, as it does for a pencil of the
-    orientation ``Recurrence`` describes; NumericsError is raised where
-    the count falls instead of dropping the levels it would have held.
     Grid points that coincide with explicit coefficient poles are
-    perturbed by 1e-9 of the window width.  The grid is counted in one
-    array call to ``rec.levels_below``, and each cell whose count rises
-    is halved on the count alone down to 1e-10; a cell then holding one
-    level changes sign across it unless a pole lies as close, and one
-    holding several holds levels closer than 1e-10.  The ends of these
-    cells join the grid, and each returned x carries exactly one
-    evaluation of char(x).  A window that is not ascending, or whose
-    bounds or width are not finite, or fewer than 16 points, raises
-    ValueError.
+    perturbed by 1e-9 of the window width.  The grid is counted by
+    bisection over its rows (``_isolate``): the count is taken at both
+    ends and at the middle row of every run whose count rises, and the
+    rows of a run whose end counts agree take that count.  Each grid cell
+    whose count rises is halved on the count alone down to 1e-10; a cell
+    then holding one level changes sign across it unless a pole lies as
+    close, and one holding several holds levels closer than 1e-10.  The
+    ends of these cells join the grid, and each returned x carries
+    exactly one evaluation of char(x).
+
+    ``rec.levels_below`` must rise with x, as it does for a pencil of the
+    orientation ``Recurrence`` describes.  NumericsError is raised where
+    the count falls between two of the points it is taken at, so a count
+    that falls across the window is caught, but one that dips and
+    recovers between two counted points is not.  A window that is not
+    ascending, or whose bounds or width are not finite, or fewer than 16
+    points, raises ValueError.
     """
     if not math.isfinite(x_hi - x_lo):
-        raise ValueError(
-            f"window bounds and width must be finite, got [{x_lo}, {x_hi}]")
+        raise ValueError("window bounds and width must be finite")
     if not x_lo < x_hi:
-        raise ValueError("x_lo must be < x_hi")
+        raise ValueError("window must be ascending")
     if points < 16:
         raise ValueError("points must be >= 16")
     poles = sorted(rec.explicit_poles(x_lo, x_hi))
@@ -178,10 +197,7 @@ def scan(rec: Recurrence, x_lo: float, x_hi: float, points: int) -> ScanResult:
             if near < nudge:
                 grid[i] = x + nudge
 
-    counts = rec.levels_below(np.asarray(grid)).tolist()
-    count_at = dict(zip(grid, counts))
-    for lo, hi, c_lo, c_hi in _isolate(rec, grid, counts):
-        count_at[lo], count_at[hi] = c_lo, c_hi
+    count_at = _isolate(rec, grid)
     xs = sorted(count_at)
     fs = [_evaluate(rec, x) for x in xs]
     rows = list(zip(xs, fs))

@@ -145,6 +145,12 @@ class TestRootsCommand:
         res = runner.invoke(cli, ["scan", "--model", "dho", "--kappa", "0.7",
                                   "--points", "4"])
         assert res.exit_code == 2
+        # rabi solves in x = E + kappa**2; the message shows no shifted bound
+        res = runner.invoke(cli, ["roots", "--model", "rabi", "--kappa", "0.7",
+                                  "--x-min", "2", "--x-max", "1"])
+        assert res.exit_code == 2
+        assert "window must be ascending" in res.stderr
+        assert "2.49" not in res.stderr and "x_lo" not in res.stderr
 
     @pytest.mark.parametrize("flags", [
         ["--model", "dho", "--kappa", "nan"],
@@ -154,11 +160,14 @@ class TestRootsCommand:
         ["--model", "rabi", "--kappa", "0.7", "--delta", "inf"],
         ["--model", "dho", "--kappa", "0.7", "--x-max", "inf"],
         ["--model", "dho", "--kappa", "0.7", "--x-min", "nan"],
+        ["--model", "rabi", "--kappa", "0.7", "--x-min", "-1", "--x-max", "inf"],
     ])
     def test_non_finite_input_rejected(self, runner, flags):
         res = runner.invoke(cli, ["roots"] + flags)
         assert res.exit_code == 2
         assert "finite" in res.output
+        # rabi solves in x = E + kappa**2; the message shows no shifted bound
+        assert "-0.51" not in res.output and "x_lo" not in res.output
 
     def test_numerical_failure_exit_code(self, runner, monkeypatch):
         def boom(*args, **kwargs):

@@ -56,13 +56,11 @@ def entrywise_spin_boson(tag, p, cutoff):
                 h[i, j] = h[j, i] = (1.0, -1.0)[s] * c
             elif tag == "rabi-modified":  # i kappa sigma1 (a^+ - a)
                 i, j = 2 * n + s, 2 * (n + 1) + (1 - s)
-                h[i, j], h[j, i] = -1j * c, 1j * c
+                h[i, j] = -1j * c
+                h[j, i] = np.conj(h[i, j])
             else:  # kappa sigma1 (a^+ + a), or its sigma^+ a + h.c. part
                 i, j = 2 * n + s, 2 * (n + 1) + (1 - s)
                 h[i, j] = h[j, i] = c
-    if tag == "rabi-modified":
-        u = np.repeat(np.array([1, 1j, -1, -1j])[np.arange(cutoff) % 4], 2)
-        h = np.ascontiguousarray((np.conj(u)[:, None] * h * u[None, :]).real)
     return h
 
 
@@ -97,7 +95,8 @@ class TestBuildHamiltonian:
     @pytest.mark.parametrize("tag", ALL_TAGS)
     def test_symmetric_and_banded(self, tag):
         h = build_hamiltonian(tag, params_for(tag), 24)
-        assert np.array_equal(h.entries, h.entries.T)
+        # Hermitian: symmetric for every model but the complex rabi-modified
+        assert np.array_equal(h.entries, h.entries.conj().T)
         i, j = np.nonzero(h.entries)
         assert np.max(np.abs(i - j), initial=0) <= 4
 
@@ -201,7 +200,7 @@ class TestBlockDiagonalization:
             dense = 2.0 * np.sum(sign[:, None] * vecs[0::2] * vecs[1::2], axis=0)
         else:
             s3 = np.where(np.arange(final.dimension) % 2 == 0, 1.0, -1.0)
-            dense = np.sum(((-1.0) ** n * s3)[:, None] * vecs ** 2, axis=0)
+            dense = np.sum(((-1.0) ** n * s3)[:, None] * np.abs(vecs) ** 2, axis=0)
         for i in range(k):
             gap = min(abs(vals[i] - vals[j]) for j in (i - 1, i + 1) if j >= 0)
             if gap > 1e-9:
@@ -277,10 +276,11 @@ class TestModifiedRabi:
         assert np.max(np.abs(np.array(std.eigenvalues)
                              - np.array(mod.eigenvalues))) < 1e-8
 
-    def test_matrix_is_real_symmetric(self):
+    def test_matrix_is_complex_hermitian(self):
         h = build_hamiltonian("rabi-modified", RabiParams(0.7, 0.4), 16)
-        assert h.entries.dtype == np.float64
-        assert np.array_equal(h.entries, h.entries.T)
+        assert h.entries.dtype == np.complex128
+        assert np.any(h.entries.imag)
+        assert np.array_equal(h.entries, h.entries.conj().T)
 
 
 class TestGenRabiOracle:

@@ -1,6 +1,7 @@
 import math
 import sys
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from ttrspec import (
     Recurrence,
     RootKind,
     SeriesStatus,
+    bessel_fixture,
     build_hamiltonian,
     char_series,
     dho_exact_levels,
@@ -120,6 +122,12 @@ class TestScan:
         (rabi_displaced_recurrence(RabiParams(0.7, 0.4)), -0.5, 3.5, 300),
         # linspace(-1, 3, 2001) hits the poles 0, 1, 2: the grid is nudged
         (rabi_displaced_recurrence(RabiParams(0.7, 0.4)), -1.0, 3.0, 2001),
+        # at delta = 0 the count rises by 2 at every degenerate pair
+        (rabi_displaced_recurrence(RabiParams(0.7, 0.0)), -1.0, 3.0, 2001),
+        # linspace(-1, 7, 801) hits the levels x = l - 1 of kappa = 1
+        (dho_recurrence(DhoParams(1.0)), -1.0, 7.0, 801),
+        # coefficients that ignore x: the count is flat
+        (bessel_fixture(1.0), -1.0, 1.0, 50),
     ])
     def test_grid_counts_equal_scalar_counts(self, rec, x_lo, x_hi, points):
         sr = scan(rec, x_lo, x_hi, points)
@@ -131,6 +139,18 @@ class TestScan:
                 for x in np.linspace(x_lo, x_hi, points).tolist()]
         ends = [x for r in find_roots(sr, rec) for x in r.bracket]
         assert sr.xs.tolist() == sorted(set(grid + ends))
+
+    def test_coefficients_take_one_float(self):
+        """The count and the series pass the coefficients one float x at a
+        time, so closures that call float(x) scan and solve as the shipped
+        ones do."""
+        kappa = 0.7
+        shipped = dho_recurrence(DhoParams(kappa))
+        scalar = replace(shipped, a=lambda n, x: (n - float(x)) / ((n + 1) * kappa),
+                         b=lambda n, x: 1.0 / (n + 1))
+        roots = find_roots(scan(scalar, -1.0, 6.0, 500), scalar)
+        assert len(roots) == 7
+        assert roots == find_roots(scan(shipped, -1.0, 6.0, 500), shipped)
 
     def test_falling_count_raises(self):
         # a_n grows with x: the mirror image of DHO kappa = 1, whose count
