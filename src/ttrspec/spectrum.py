@@ -176,9 +176,12 @@ def scan(rec: Recurrence, x_lo: float, x_hi: float, points: int) -> ScanResult:
     orientation ``Recurrence`` describes.  NumericsError is raised where
     the count falls between two of the points it is taken at, so a count
     that falls across the window is caught, but one that dips and
-    recovers between two counted points is not.  A window that is not
-    ascending, or whose bounds or width are not finite, or fewer than 16
-    points, raises ValueError.
+    recovers between two counted points is not.  The count's own
+    NumericsError (a non-finite pivot, a count that does not settle) is
+    likewise raised only at a counted point: a row inside a run whose end
+    counts agree is never counted and takes the run's count.  A window
+    that is not ascending, or whose bounds or width are not finite, or
+    fewer than 16 points, raises ValueError.
     """
     if not math.isfinite(x_hi - x_lo):
         raise ValueError("window bounds and width must be finite")
