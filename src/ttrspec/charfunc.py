@@ -24,12 +24,16 @@ provided:
 
 ``minimal_solution`` reconstructs m_0..m_N at an accepted root from the
 same backward ratios.
+
+``char_series`` writes out a declared ``pencil`` while ``ratio_cf`` calls
+``a`` and ``b``, so ``validate``'s series-vs-CF check also compares the two.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import CoefficientPoleError, NonConvergenceError
 from .recurrence import Recurrence, tail_ratio_estimate
@@ -56,8 +60,7 @@ class SeriesStatus(enum.Enum):
     POLE = "PoleDetected"
 
 
-@dataclass(frozen=True)
-class CharEval:
+class CharEval(NamedTuple):
     """One evaluation of the characteristic series.
 
     ``last_term`` is the magnitude of the final product rho_1...rho_k.
@@ -93,6 +96,8 @@ def char_series(rec: Recurrence, x: float) -> CharEval:
     CoefficientPoleError
         If some a_l with l >= 1 vanishes (the transform needs a_l != 0).
     """
+    if rec.pencil is not None:
+        return _pencil_series(rec, x)
     a, b, rel_tol, abs_tol, guard = rec.a, rec.b, _REL_TOL, _ABS_TOL, _POLE_GUARD
     a0 = a(0, x)
     a_prev = a(1, x)
@@ -121,6 +126,43 @@ def char_series(rec: Recurrence, x: float) -> CharEval:
             small_run = 0
         u_prev = u
         a_prev = a_l
+    return CharEval(total, _MAX_TERMS, SeriesStatus.MAX_TERMS, abs(term))
+
+
+def _pencil_series(rec: Recurrence, x: float) -> CharEval:
+    """``char_series`` with ``rec.pencil`` written out, as ``_pencil_count``
+    writes out the count: the same float operations in the same order."""
+    kappa, (s_even, s_odd) = rec.pencil
+    rel_tol, abs_tol, guard = _REL_TOL, _ABS_TOL, _POLE_GUARD
+    a0 = (0.0 - x + s_even) / kappa  # kappa * (0 + 1) is kappa
+    a_prev = (1.0 - x + s_odd) / (kappa * 2.0)
+    if a_prev == 0.0:
+        raise CoefficientPoleError("coefficient pole at level 1")
+    term = -0.5 / a_prev  # -b_1 / a_1
+    total = a0 + term
+    u_prev = 1.0
+    small_run = 1 if abs(term) <= rel_tol * abs(total) + abs_tol else 0
+    lf, s_l, s_next = 2.0, s_even, s_odd  # the level l as a float, its shift
+    for l in range(2, _MAX_TERMS + 1):
+        lf1 = lf + 1.0
+        a_l = (lf - x + s_l) / (kappa * lf1)
+        if a_l == 0.0:
+            raise CoefficientPoleError(f"coefficient pole at level {l}")
+        denom = 1.0 - u_prev * (1.0 / lf1) / (a_l * a_prev)
+        if -guard < denom < guard:
+            return CharEval(total, l - 1, SeriesStatus.POLE, abs(term))
+        u = 1.0 / denom
+        term *= u - 1.0
+        total += term
+        if abs(term) <= rel_tol * abs(total) + abs_tol:
+            small_run += 1
+            if small_run >= _CONSECUTIVE_SMALL:
+                return CharEval(total, l, SeriesStatus.CONVERGED, abs(term))
+        else:
+            small_run = 0
+        u_prev = u
+        a_prev = a_l
+        s_l, s_next, lf = s_next, s_l, lf1
     return CharEval(total, _MAX_TERMS, SeriesStatus.MAX_TERMS, abs(term))
 
 

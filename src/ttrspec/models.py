@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import CoefficientPoleError
-from .recurrence import AsymptoticProfile, Recurrence
+from .recurrence import AsymptoticProfile, Recurrence, pencil_recurrence
 
 PARITY_PLUS = "plus"
 PARITY_MINUS = "minus"
@@ -74,17 +74,8 @@ class JcParams:
 
 def dho_recurrence(p: DhoParams) -> Recurrence:
     """c_{n+1} + (n - x)/((n+1) kappa) c_n + 1/(n+1) c_{n-1} = 0, x = E/omega."""
-    kappa = p.kappa
-
-    def a(n: int, x: float) -> float:
-        return (n - x) / ((n + 1) * kappa)
-
-    def b(n: int, x: float) -> float:
-        return 1.0 / (n + 1)
-
-    profile = AsymptoticProfile(delta=0.0, upsilon=-1.0,
-                                a_coef=1.0 / kappa, b_coef=1.0)
-    return Recurrence(a=a, b=b, profile=profile, label="dho")
+    # (n - x) + 0.0 is n - x and kappa (n+1) is (n+1) kappa, bit for bit
+    return pencil_recurrence(p.kappa, (0.0, 0.0), "dho")
 
 
 def dho_exact_levels(p: DhoParams, l_max: int) -> list[float]:
@@ -153,20 +144,10 @@ def parity_rabi_recurrence(p: RabiParams, parity: str) -> Recurrence:
     """
     if parity not in (PARITY_PLUS, PARITY_MINUS):
         raise ValueError("parity must be 'plus' or 'minus'")
-    kappa, delta = p.kappa, p.delta
     s = 1.0 if parity == PARITY_PLUS else -1.0
-    signed = (s * delta, -s * delta)  # by n & 1; exact for s = +-1
-
-    def a(n: int, x: float) -> float:
-        return (n - x + signed[n & 1]) / (kappa * (n + 1))
-
-    def b(n: int, x: float) -> float:
-        return 1.0 / (n + 1)
-
-    profile = AsymptoticProfile(delta=0.0, upsilon=-1.0,
-                                a_coef=1.0 / kappa, b_coef=1.0)
-    return Recurrence(a=a, b=b, profile=profile,
-                      label=f"rabi-parity-{parity}")
+    # (+-delta, -+delta) at even and odd n; exact for s = +-1
+    return pencil_recurrence(p.kappa, (s * p.delta, -s * p.delta),
+                             f"rabi-parity-{parity}")
 
 
 def jc_exact_levels(p: JcParams, n_max: int) -> list[float]:

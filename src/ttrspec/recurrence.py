@@ -79,6 +79,13 @@ class Recurrence:
     declares ``sectors`` that are; coefficients that ignore x, or grow
     with it, give a count that is flat or falls, and ``scan`` rejects
     a falling count.
+
+    ``pencil`` = (kappa, (s_even, s_odd)) declares a_n = (n - x +
+    s_{n mod 2})/(kappa (n+1)) and b_n = 1/(n+1), which ``char_series``
+    and the count then evaluate inline, never calling ``a`` or ``b``.
+    Only ``pencil_recurrence`` sets it, and a recurrence built with other
+    coefficients leaves it unset; but ``dataclasses.replace(rec, a=...)``
+    keeps it, so pass ``pencil=None`` there too.
     """
 
     a: Callable[[int, float], float]
@@ -91,6 +98,9 @@ class Recurrence:
     #: (for a model whose coefficients are not a linear pencil in x); a
     #: level of several sectors at once is counted once per sector
     sectors: tuple["Recurrence", ...] = ()
+    #: set by ``pencil_recurrence`` only and evaluated in place of ``a``
+    #: and ``b``: ``replace`` with new coefficients must reset it to None
+    pencil: tuple[float, tuple[float, float]] | None = None
 
     def levels_below(self, x: float) -> int:
         """Number of regular levels below x, counted exactly.
@@ -111,6 +121,17 @@ class Recurrence:
     def x_of(self, energy: float) -> float:
         """Recurrence variable x for physical energy E/omega."""
         return energy + self.energy_shift
+
+
+def pencil_recurrence(kappa: float, shifts: tuple[float, float],
+                      label: str) -> Recurrence:
+    """c_{n+1} + (n - x + s_{n mod 2})/(kappa (n+1)) c_n + 1/(n+1) c_{n-1} = 0,
+    declared as its ``pencil``; ``shifts`` = (s_even, s_odd)."""
+    profile = AsymptoticProfile(delta=0.0, upsilon=-1.0,
+                                a_coef=1.0 / kappa, b_coef=1.0)
+    return Recurrence(a=lambda n, x: (n - x + shifts[n & 1]) / (kappa * (n + 1)),
+                      b=lambda n, x: 1.0 / (n + 1), profile=profile, label=label,
+                      pencil=(kappa, shifts))
 
 
 def classify(profile: AsymptoticProfile) -> AdmissibilityReport:
@@ -173,6 +194,8 @@ def _sturm_count(rec: Recurrence, x: float) -> int:
     Raises NumericsError on a non-finite pivot (for instance at a
     non-finite x) and when the count has not settled by ``_MAX_LEVELS``.
     """
+    if rec.pencil is not None:
+        return _pencil_count(rec, x)
     a, b, isfinite = rec.a, rec.b, math.isfinite
     sg = 1.0 if rec.profile.a_coef > 0 else -1.0
     count = 0
@@ -196,6 +219,39 @@ def _sturm_count(rec: Recurrence, x: float) -> int:
         ratio_prev = ratio
         p = a_next - b_next / p
         a_n = a_next
+    raise NumericsError(f"level count did not settle by level {_MAX_LEVELS} (x = {x})")
+
+
+def _pencil_count(rec: Recurrence, x: float) -> int:
+    """``_sturm_count`` with ``rec.pencil`` written out, in the same float
+    operations and order: float-float only, the level as lf, shifts swapped."""
+    kappa, (s_even, s_odd) = rec.pencil
+    isfinite = math.isfinite
+    sg = 1.0 if rec.profile.a_coef > 0 else -1.0
+    count = 0
+    ratio_prev = 0.0
+    a_n = (0.0 - x + s_even) / kappa  # kappa * (0 + 1) is kappa
+    p = a_n
+    lf, s_next, s_after = 1.0, s_odd, s_even  # the level of a_next, its shift
+    for n in range(_MAX_LEVELS):
+        if not isfinite(p):
+            raise NumericsError(f"non-finite pivot at level {n} (x = {x})")
+        if p == 0.0:
+            p = sg * sys.float_info.epsilon
+        elif sg * p < 0.0:
+            count += 1
+        lf1 = lf + 1.0
+        a_next = (lf - x + s_next) / (kappa * lf1)
+        b_next = 1.0 / lf1
+        prod = a_n * a_next
+        ratio = abs(b_next / prod) if prod != 0.0 else math.inf
+        if (ratio <= 0.25 and ratio < ratio_prev and sg * a_next > 0.0
+                and sg * p >= 0.5 * sg * a_n > 0.0):
+            return count
+        ratio_prev = ratio
+        p = a_next - b_next / p
+        a_n = a_next
+        s_next, s_after, lf = s_after, s_next, lf1
     raise NumericsError(f"level count did not settle by level {_MAX_LEVELS} (x = {x})")
 
 

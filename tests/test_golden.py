@@ -8,18 +8,22 @@ zeros included, and each kernel digest the md5 of the ``repr`` of every
 every level count, on a fixed grid: the CLI digests see only polished
 roots, the kernel digests every series term and every pivot.  A change
 that alters any of these bytes on purpose updates the digest and says
-why in CHANGES.md.
+why in CHANGES.md.  The inline pencil loops must give the bytes of the
+generic loops, which call the coefficient functions.
 """
 
 import hashlib
+import math
+from dataclasses import replace
 
 import pytest
 from click.testing import CliRunner
 
-from ttrspec import DhoParams, GenRabiParams, JcParams, RabiParams, build_hamiltonian
-from ttrspec.charfunc import char_series
+from ttrspec import (DhoParams, GenRabiParams, JcParams, RabiParams, build_hamiltonian,
+                     charfunc, recurrence)
+from ttrspec.charfunc import SeriesStatus, char_series
 from ttrspec.cli import cli
-from ttrspec.errors import CoefficientPoleError
+from ttrspec.errors import NumericsError
 from ttrspec.models import (
     dho_recurrence,
     parity_rabi_recurrence,
@@ -92,18 +96,32 @@ KERNELS = [
      "8bcdfe60a7fff3da496a24a8b81d4c06", "57a76250d594986149179b42068e0e63"),
     ("rabi-0", rabi_displaced_recurrence(RabiParams(0.7, 0.0)),
      "f3d93ab0d72fe17692fc92e0c4fe7df2", "27f219cb689dfd37b4aa898f9dccda3d"),
+    # walks of about 4 kappa^2 levels, pinned by the bits of the generic loops
+    ("dho-3", dho_recurrence(DhoParams(3.0)),
+     "14e98b805953aa95bff24edfec7d51a2", "02361a0ec3bb525746ad80a4b424b85b"),
+    ("parity-plus-2-1.5", parity_rabi_recurrence(RabiParams(2.0, 1.5), "plus"),
+     "888e5f06c851b25954cd1b8634518104", "0f783175a1c7ffb7bc45e1a0094ae7e5"),
+    ("parity-minus-2-1.5", parity_rabi_recurrence(RabiParams(2.0, 1.5), "minus"),
+     "8597a9626926336c79d5dbed20b4390d", "130ba857994ab41f52cd1543bb3eb6e9"),
 ]
+
+# every recurrence that declares a pencil, each with a generic twin
+PENCILS = ([(f"dho-{k}", dho_recurrence(DhoParams(k))) for k in (0.7, 1.0, 3.0, -0.7)]
+           + [(f"parity-{s}-{k}-{d}", parity_rabi_recurrence(RabiParams(k, d), s))
+              for s in ("plus", "minus") for k in (0.7, 2.0) for d in (0.0, 0.4, 1.5)])
+PENCIL_XS = (KERNEL_GRID + [float(n) for n in range(-3, 13)]
+             + [24.5, 40.25, math.nan, math.inf, -math.inf])
 
 
 def _md5(text: str) -> str:
     return hashlib.md5(text.encode()).hexdigest()
 
 
-def _series_text(rec, x) -> str:
+def _outcome(call, *args) -> str:
     try:
-        return repr(char_series(rec, x))
-    except CoefficientPoleError as exc:
-        return f"CoefficientPoleError: {exc}"
+        return repr(call(*args))
+    except NumericsError as exc:
+        return f"{type(exc).__name__}: {exc}"
 
 
 @pytest.mark.parametrize("args, digest", GOLDEN, ids=[a.split()[0] + str(i)
@@ -131,5 +149,46 @@ def test_matrix_digest(tag, params, digest):
                          ids=[k[0] for k in KERNELS])
 def test_kernel_digest(rec, series_digest, count_digest):
     counts = [rec.levels_below(x) for x in KERNEL_GRID]
-    assert _md5("\n".join(_series_text(rec, x) for x in KERNEL_GRID)) == series_digest
+    series = "\n".join(_outcome(char_series, rec, x) for x in KERNEL_GRID)
+    assert _md5(series) == series_digest
     assert _md5(repr(counts)) == count_digest
+
+
+# the caps, small enough that the loops stop at them
+CAPS = [None, (charfunc, "_MAX_TERMS", 5, SeriesStatus.MAX_TERMS.value),
+        (recurrence, "_MAX_LEVELS", 20, "did not settle")]
+
+
+@pytest.mark.parametrize("cap", CAPS, ids=["uncapped", "max-terms-5", "max-levels-20"])
+@pytest.mark.parametrize("rec", [p[1] for p in PENCILS], ids=[p[0] for p in PENCILS])
+def test_pencil_loops_match_generic_loops(rec, cap, monkeypatch):
+    """Series and count through ``rec.pencil`` give the bytes (values,
+    statuses, term counts and error texts) of its twin without one."""
+    if cap is not None:
+        monkeypatch.setattr(*cap[:3])
+    generic = replace(rec, pencil=None)
+    assert rec.pencil is not None
+    texts = []
+    for x in PENCIL_XS:
+        texts.append(_outcome(char_series, rec, x))
+        assert texts[-1] == _outcome(char_series, generic, x), x
+        texts.append(_outcome(rec.levels_below, x))
+        assert texts[-1] == _outcome(generic.levels_below, x), x
+    if cap is not None:
+        assert any(cap[3] in t for t in texts)
+
+
+def test_pencil_loops_call_no_coefficient():
+    """The pencil is evaluated in place of ``a`` and ``b``; ``replace``
+    keeps it, so a recurrence given new coefficients must drop it."""
+    rec = dho_recurrence(DhoParams(0.7))
+
+    def forbidden(n, x):
+        raise RuntimeError("coefficient called")
+
+    blind = replace(rec, a=forbidden, b=forbidden)
+    assert blind.pencil == rec.pencil == (0.7, (0.0, 0.0))
+    assert char_series(blind, 0.3) == char_series(rec, 0.3)
+    assert blind.levels_below(2.5) == rec.levels_below(2.5) == 3
+    with pytest.raises(RuntimeError, match="coefficient called"):
+        char_series(replace(blind, pencil=None), 0.3)
