@@ -35,7 +35,7 @@ import enum
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import NonConvergenceError
+from .errors import CoefficientPoleError, NonConvergenceError
 from .recurrence import Recurrence, tail_ratio_estimate
 
 _TINY = 1e-300
@@ -64,12 +64,9 @@ class CharEval(NamedTuple):
     """One evaluation of the characteristic series.
 
     ``last_term`` is the magnitude of the final product rho_1...rho_k.
-    A value taken from the backward fraction (see ``char_series``) has
-    ``terms_used`` 0 and ``last_term`` the gap between its last two
-    approximants, or 0 once they agree.  status POLE means a u_l
-    denominator fell inside the pole guard, the numerical signature of
-    m_0 = 0 where the fraction (and the series) genuinely diverges;
-    scanners treat such points as branch boundaries.
+    status POLE means a u_l denominator fell inside the pole guard, the
+    numerical signature of m_0 = 0 where the fraction (and the series)
+    genuinely diverges; scanners treat such points as branch boundaries.
     """
 
     value: float
@@ -87,30 +84,25 @@ def char_series(rec: Recurrence, x: float) -> CharEval:
     It stops with MaxTermsReached after 20000 terms, and with
     PoleDetected where a u_l denominator falls below 1e-12.
 
-    The transform divides by every a_l (l >= 1), so at an exact zero of
-    one it is undefined although char(x) is not: the zero enters the
-    fraction only as a_l + r_l.  There, and where a_l a_{l-1} underflows
-    to 0, the value is a_0 + ``ratio_cf`` instead (MaxTermsReached if
-    the backward passes do not agree).
-
     Parameters
     ----------
     rec : Recurrence
         Coefficient functions and metadata.
     x : float
-        Energy parameter; must not sit on an explicit coefficient pole,
-        where the coefficient functions raise CoefficientPoleError.
+        Energy parameter; must not sit on an explicit coefficient pole.
+
+    Raises
+    ------
+    CoefficientPoleError
+        If some a_l with l >= 1 vanishes (the transform needs a_l != 0).
     """
     if rec.pencil is not None:
-        try:
-            return _pencil_series(rec, x)
-        except ZeroDivisionError:  # some a_l a_{l-1} underflowed to 0
-            return _backward_char(rec, x, rec.a(0, x))
+        return _pencil_series(rec, x)
     a, b, rel_tol, abs_tol, guard = rec.a, rec.b, _REL_TOL, _ABS_TOL, _POLE_GUARD
     a0 = a(0, x)
     a_prev = a(1, x)
     if a_prev == 0.0:
-        return _backward_char(rec, x, a0)
+        raise CoefficientPoleError("coefficient pole at level 1")
     term = -b(1, x) / a_prev
     total = a0 + term
     u_prev = 1.0
@@ -118,10 +110,9 @@ def char_series(rec: Recurrence, x: float) -> CharEval:
     small_run = 1 if abs(term) <= rel_tol * abs(total) + abs_tol else 0
     for l in range(2, _MAX_TERMS + 1):
         a_l = a(l, x)
-        a_pair = a_l * a_prev
-        if a_pair == 0.0:
-            return _backward_char(rec, x, a0)
-        denom = 1.0 - u_prev * b(l, x) / a_pair
+        if a_l == 0.0:
+            raise CoefficientPoleError(f"coefficient pole at level {l}")
+        denom = 1.0 - u_prev * b(l, x) / (a_l * a_prev)
         if -guard < denom < guard:
             return CharEval(total, l - 1, SeriesStatus.POLE, abs(term))
         u = 1.0 / denom
@@ -140,16 +131,13 @@ def char_series(rec: Recurrence, x: float) -> CharEval:
 
 def _pencil_series(rec: Recurrence, x: float) -> CharEval:
     """``char_series`` with ``rec.pencil`` written out, as ``_pencil_count``
-    writes out the count: the same float operations in the same order.
-
-    It leaves an a_l a_{l-1} that underflows to 0 to the caller, as a
-    ZeroDivisionError, so that the loop tests only a_l."""
+    writes out the count: the same float operations in the same order."""
     kappa, (s_even, s_odd) = rec.pencil
     rel_tol, abs_tol, guard = _REL_TOL, _ABS_TOL, _POLE_GUARD
     a0 = (0.0 - x + s_even) / kappa  # kappa * (0 + 1) is kappa
     a_prev = (1.0 - x + s_odd) / (kappa * 2.0)
     if a_prev == 0.0:
-        return _backward_char(rec, x, a0)
+        raise CoefficientPoleError("coefficient pole at level 1")
     term = -0.5 / a_prev  # -b_1 / a_1
     total = a0 + term
     u_prev = 1.0
@@ -159,7 +147,7 @@ def _pencil_series(rec: Recurrence, x: float) -> CharEval:
         lf1 = lf + 1.0
         a_l = (lf - x + s_l) / (kappa * lf1)
         if a_l == 0.0:
-            return _backward_char(rec, x, a0)
+            raise CoefficientPoleError(f"coefficient pole at level {l}")
         denom = 1.0 - u_prev * (1.0 / lf1) / (a_l * a_prev)
         if -guard < denom < guard:
             return CharEval(total, l - 1, SeriesStatus.POLE, abs(term))
@@ -176,15 +164,6 @@ def _pencil_series(rec: Recurrence, x: float) -> CharEval:
         a_prev = a_l
         s_l, s_next, lf = s_next, s_l, lf1
     return CharEval(total, _MAX_TERMS, SeriesStatus.MAX_TERMS, abs(term))
-
-
-def _backward_char(rec: Recurrence, x: float, a0: float) -> CharEval:
-    """a_0 + r_0 by the backward continued fraction, for ``char_series``."""
-    try:
-        return CharEval(a0 + ratio_cf(rec, x), 0, SeriesStatus.CONVERGED, 0.0)
-    except NonConvergenceError as exc:
-        return CharEval(a0 + exc.last, 0, SeriesStatus.MAX_TERMS,
-                        abs(exc.last - exc.previous))
 
 
 def cf_convergent(rec: Recurrence, x: float, k: int) -> float:
