@@ -25,8 +25,8 @@ provided:
 ``minimal_solution`` reconstructs m_0..m_N at an accepted root from the
 same backward ratios.
 
-``char_series`` writes out a declared ``pencil`` while ``ratio_cf`` calls
-``a`` and ``b``, so ``validate``'s series-vs-CF check also compares the two.
+``char_series`` writes out a recurrence's ``pencil`` while ``ratio_cf`` calls
+its ``a`` and ``b``, so ``validate``'s series-vs-CF check also compares the two.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import CoefficientPoleError, NonConvergenceError
-from .recurrence import Recurrence, tail_ratio_estimate
+from .recurrence import Pencil, Recurrence, tail_ratio_estimate
 
 _TINY = 1e-300
 
@@ -96,8 +96,9 @@ def char_series(rec: Recurrence, x: float) -> CharEval:
     CoefficientPoleError
         If some a_l with l >= 1 vanishes (the transform needs a_l != 0).
     """
-    if rec.pencil is not None:
-        return _pencil_series(rec, x)
+    pencil = rec.pencil
+    if pencil is not None:
+        return _pencil_series(pencil, x)
     a, b, rel_tol, abs_tol, guard = rec.a, rec.b, _REL_TOL, _ABS_TOL, _POLE_GUARD
     a0 = a(0, x)
     a_prev = a(1, x)
@@ -129,10 +130,10 @@ def char_series(rec: Recurrence, x: float) -> CharEval:
     return CharEval(total, _MAX_TERMS, SeriesStatus.MAX_TERMS, abs(term))
 
 
-def _pencil_series(rec: Recurrence, x: float) -> CharEval:
-    """``char_series`` with ``rec.pencil`` written out, as ``_pencil_count``
+def _pencil_series(pencil: Pencil, x: float) -> CharEval:
+    """``char_series`` with ``pencil`` written out, as ``_pencil_count``
     writes out the count: the same float operations in the same order."""
-    kappa, (s_even, s_odd) = rec.pencil
+    kappa, (s_even, s_odd) = pencil.kappa, pencil.shifts
     rel_tol, abs_tol, guard = _REL_TOL, _ABS_TOL, _POLE_GUARD
     a0 = (0.0 - x + s_even) / kappa  # kappa * (0 + 1) is kappa
     a_prev = (1.0 - x + s_odd) / (kappa * 2.0)

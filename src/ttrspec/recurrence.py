@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 from .errors import NumericsError
@@ -80,12 +80,9 @@ class Recurrence:
     with it, give a count that is flat or falls, and ``scan`` rejects
     a falling count.
 
-    ``pencil`` = (kappa, (s_even, s_odd)) declares a_n = (n - x +
-    s_{n mod 2})/(kappa (n+1)) and b_n = 1/(n+1), which ``char_series``
-    and the count then evaluate inline, never calling ``a`` or ``b``.
-    Only ``pencil_recurrence`` sets it, and a recurrence built with other
-    coefficients leaves it unset; but ``dataclasses.replace(rec, a=...)``
-    keeps it, so pass ``pencil=None`` there too.
+    ``a`` and ``b`` that are the methods of one ``Pencil`` (see
+    ``pencil_recurrence``) are written out inline by ``char_series`` and
+    the count; coefficients given any other way, by ``replace`` too, are called.
     """
 
     a: Callable[[int, float], float]
@@ -98,9 +95,14 @@ class Recurrence:
     #: (for a model whose coefficients are not a linear pencil in x); a
     #: level of several sectors at once is counted once per sector
     sectors: tuple["Recurrence", ...] = ()
-    #: set by ``pencil_recurrence`` only and evaluated in place of ``a``
-    #: and ``b``: ``replace`` with new coefficients must reset it to None
-    pencil: tuple[float, tuple[float, float]] | None = None
+    #: the ``Pencil`` whose methods ``a`` and ``b`` are, if any; set from them
+    pencil: Pencil | None = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        owner = getattr(self.a, "__self__", None)
+        if not (isinstance(owner, Pencil) and getattr(self.b, "__self__", None) is owner):
+            owner = None
+        object.__setattr__(self, "pencil", owner)
 
     def levels_below(self, x: float) -> int:
         """Number of regular levels below x, counted exactly.
@@ -123,15 +125,28 @@ class Recurrence:
         return energy + self.energy_shift
 
 
+@dataclass(frozen=True, slots=True)
+class Pencil:
+    """a_n = (n - x + s_{n mod 2})/(kappa (n+1)), b_n = 1/(n+1), with
+    ``shifts`` = (s_even, s_odd)."""
+
+    kappa: float
+    shifts: tuple[float, float]
+
+    def a(self, n: int, x: float) -> float:
+        return (n - x + self.shifts[n & 1]) / (self.kappa * (n + 1))
+
+    def b(self, n: int, x: float) -> float:
+        return 1.0 / (n + 1)
+
+
 def pencil_recurrence(kappa: float, shifts: tuple[float, float],
                       label: str) -> Recurrence:
-    """c_{n+1} + (n - x + s_{n mod 2})/(kappa (n+1)) c_n + 1/(n+1) c_{n-1} = 0,
-    declared as its ``pencil``; ``shifts`` = (s_even, s_odd)."""
+    """The recurrence with the coefficients of ``Pencil(kappa, shifts)``."""
+    pencil = Pencil(kappa, shifts)
     profile = AsymptoticProfile(delta=0.0, upsilon=-1.0,
                                 a_coef=1.0 / kappa, b_coef=1.0)
-    return Recurrence(a=lambda n, x: (n - x + shifts[n & 1]) / (kappa * (n + 1)),
-                      b=lambda n, x: 1.0 / (n + 1), profile=profile, label=label,
-                      pencil=(kappa, shifts))
+    return Recurrence(a=pencil.a, b=pencil.b, profile=profile, label=label)
 
 
 def classify(profile: AsymptoticProfile) -> AdmissibilityReport:
@@ -194,8 +209,9 @@ def _sturm_count(rec: Recurrence, x: float) -> int:
     Raises NumericsError on a non-finite pivot (for instance at a
     non-finite x) and when the count has not settled by ``_MAX_LEVELS``.
     """
-    if rec.pencil is not None:
-        return _pencil_count(rec, x)
+    pencil = rec.pencil
+    if pencil is not None:
+        return _pencil_count(rec, pencil, x)
     a, b, isfinite = rec.a, rec.b, math.isfinite
     sg = 1.0 if rec.profile.a_coef > 0 else -1.0
     count = 0
@@ -222,10 +238,10 @@ def _sturm_count(rec: Recurrence, x: float) -> int:
     raise NumericsError(f"level count did not settle by level {_MAX_LEVELS} (x = {x})")
 
 
-def _pencil_count(rec: Recurrence, x: float) -> int:
-    """``_sturm_count`` with ``rec.pencil`` written out, in the same float
+def _pencil_count(rec: Recurrence, pencil: Pencil, x: float) -> int:
+    """``_sturm_count`` with ``pencil`` written out, in the same float
     operations and order: float-float only, the level as lf, shifts swapped."""
-    kappa, (s_even, s_odd) = rec.pencil
+    kappa, (s_even, s_odd) = pencil.kappa, pencil.shifts
     isfinite = math.isfinite
     sg = 1.0 if rec.profile.a_coef > 0 else -1.0
     count = 0

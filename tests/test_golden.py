@@ -166,8 +166,10 @@ def test_pencil_loops_match_generic_loops(rec, cap, monkeypatch):
     statuses, term counts and error texts) of its twin without one."""
     if cap is not None:
         monkeypatch.setattr(*cap[:3])
-    generic = replace(rec, pencil=None)
-    assert rec.pencil is not None
+    pencil = rec.pencil
+    assert pencil is not None
+    generic = replace(rec, a=lambda n, x: pencil.a(n, x))  # no longer a pencil's
+    assert generic.pencil is None
     texts = []
     for x in PENCIL_XS:
         texts.append(_outcome(char_series, rec, x))
@@ -179,16 +181,22 @@ def test_pencil_loops_match_generic_loops(rec, cap, monkeypatch):
 
 
 def test_pencil_loops_call_no_coefficient():
-    """The pencil is evaluated in place of ``a`` and ``b``; ``replace``
-    keeps it, so a recurrence given new coefficients must drop it."""
+    """The pencil is written out in place of ``a`` and ``b``, and new
+    coefficients given to ``replace`` leave no pencil behind."""
+
+    class Blind(recurrence.Pencil):
+        def a(self, n, x):
+            raise RuntimeError("coefficient called")
+
+        b = a
+
     rec = dho_recurrence(DhoParams(0.7))
-
-    def forbidden(n, x):
-        raise RuntimeError("coefficient called")
-
-    blind = replace(rec, a=forbidden, b=forbidden)
-    assert blind.pencil == rec.pencil == (0.7, (0.0, 0.0))
-    assert char_series(blind, 0.3) == char_series(rec, 0.3)
-    assert blind.levels_below(2.5) == rec.levels_below(2.5) == 3
-    with pytest.raises(RuntimeError, match="coefficient called"):
-        char_series(replace(blind, pencil=None), 0.3)
+    blind = Blind(0.7, (0.0, 0.0))
+    blind_rec = replace(rec, a=blind.a, b=blind.b)
+    assert blind_rec.pencil is blind
+    assert char_series(blind_rec, 0.3) == char_series(rec, 0.3)
+    assert blind_rec.levels_below(2.5) == rec.levels_below(2.5) == 3
+    for changes in ({"a": blind.a}, {"b": blind.b}):
+        assert replace(rec, **changes).pencil is None
+        with pytest.raises(RuntimeError, match="coefficient called"):
+            char_series(replace(rec, **changes), 0.3)

@@ -143,11 +143,11 @@ class TestScan:
     def test_coefficients_take_one_float(self):
         """The count and the series pass the coefficients one float x at a
         time, so closures that call float(x) scan and solve as the shipped
-        ones do (the shipped pencil, which would bypass them, is dropped)."""
+        ones do."""
         kappa = 0.7
         shipped = dho_recurrence(DhoParams(kappa))
         scalar = replace(shipped, a=lambda n, x: (n - float(x)) / ((n + 1) * kappa),
-                         b=lambda n, x: 1.0 / (n + 1), pencil=None)
+                         b=lambda n, x: 1.0 / (n + 1))
         roots = find_roots(scan(scalar, -1.0, 6.0, 500), scalar)
         assert len(roots) == 7
         assert roots == find_roots(scan(shipped, -1.0, 6.0, 500), shipped)
