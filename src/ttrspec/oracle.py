@@ -2,7 +2,8 @@
 
 Truncated Fock-space Hamiltonians diagonalized one parity sector at a
 time (dense LAPACK via numpy on each sector), with convergence
-certified by doubling the cutoff; the closed-form Laguerre branch of
+certified by comparing the caller's cutoff with its half, doubling the
+cutoff only where the two disagree; the closed-form Laguerre branch of
 the displaced-oscillator recurrence; and an ascending-series Bessel
 oracle used by the upward-recursion caution fixture.  Nothing here
 touches the characteristic-function route, so agreement between the
@@ -34,11 +35,11 @@ class TruncatedHamiltonian:
     Every matrix holds d states per Fock level n at index i = d n + s:
     d = 2 for the spinful models, with s = 0 the upper (sigma3 = +1) and
     s = 1 the lower spin state, and d = 1 for the oscillator.  ``params``
-    is retained so the cutoff can be doubled for convergence
-    certification.  In this basis the reflection parity sigma3 (-1)**n
-    of ``rabi``, ``rabi-modified`` and ``jc`` is diagonal, so their
-    matrices split into two sectors of ``cutoff`` states each, which
-    ``eigen_lowest`` diagonalizes apart.
+    is retained so the half and doubled cutoffs of the convergence
+    certificate can be built.  In this basis the reflection parity
+    sigma3 (-1)**n of ``rabi``, ``rabi-modified`` and ``jc`` is
+    diagonal, so their matrices split into two sectors of ``cutoff``
+    states each, which ``eigen_lowest`` diagonalizes apart.
     """
 
     dimension: int
@@ -181,11 +182,15 @@ def _lowest(h: TruncatedHamiltonian, k: int) -> tuple[np.ndarray, list[int | Non
 
 
 def eigen_lowest(h: TruncatedHamiltonian, k: int, tol: float = 1e-8) -> OracleSpectrum:
-    """Lowest k eigenvalues, certified by doubling the cutoff.
+    """Lowest k eigenvalues, certified at the caller's cutoff where it can.
 
-    The cutoff is doubled (up to three times) until the lowest k values
-    move by less than ``tol`` (in units of omega) under a doubling; the
-    spectrum and parity labels of the larger matrix are returned.  Each
+    ``h`` (cutoff c) is first compared with the same model at c // 2,
+    when that half has at least 4 levels and k <= its dimension/4; if
+    their lowest k values agree to less than ``tol`` (in units of omega),
+    the spectrum of ``h`` is returned.  Otherwise the cutoff is doubled
+    (up to three times) until the lowest k values move by less than
+    ``tol`` under a doubling.  Either way the spectrum and parity labels
+    of the larger matrix of the agreeing pair are returned.  Each
     matrix is diagonalized one parity sector at a time (``_sectors``:
     the two sigma3 (-1)**n sectors of ``rabi``, ``rabi-modified`` and
     ``jc``), which changes no eigenvalue beyond rounding, and each level
@@ -197,7 +202,7 @@ def eigen_lowest(h: TruncatedHamiltonian, k: int, tol: float = 1e-8) -> OracleSp
     Raises ValueError unless ``tol`` is finite and positive,
     NumericsError if a matrix couples its two parity sectors, and
     NonConvergenceError carrying the last two spectra if three doublings
-    do not suffice.
+    do not suffice.  ``h`` itself is always diagonalized, never rebuilt.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -208,6 +213,9 @@ def eigen_lowest(h: TruncatedHamiltonian, k: int, tol: float = 1e-8) -> OracleSp
     cur = h
     vals_prev = None
     vals = None
+    half = h.cutoff // 2
+    if half >= 4 and k <= h.dimension // h.cutoff * half // 4:
+        vals_prev = _lowest(build_hamiltonian(h.model_tag, h.params, half), k)[0]
     for step in range(4):
         vals, labels = _lowest(cur, k)
         if vals_prev is not None:

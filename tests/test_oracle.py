@@ -1,5 +1,8 @@
 import dataclasses
+import importlib.util
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +24,20 @@ from ttrspec import (
     jc_exact_levels,
     laguerre_dominant,
 )
-from ttrspec.oracle import _label, _parity_expectations, _sectors, laguerre_ratio
+from ttrspec.oracle import (
+    _label,
+    _lowest,
+    _parity_expectations,
+    _sectors,
+    laguerre_ratio,
+)
+
+# the benchmark's crosscheck grid, read from its own module
+_spec = importlib.util.spec_from_file_location(
+    "perfbench_workloads",
+    Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py")
+workloads = sys.modules[_spec.name] = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(workloads)
 
 ALL_TAGS = ["dho", "rabi", "jc", "gen-rabi", "rabi-modified"]
 
@@ -167,27 +183,96 @@ class TestEigenLowest:
         assert len(err.value.previous) == 2
 
 
+def record_builds(monkeypatch):
+    """Record every matrix ``eigen_lowest`` builds, in order."""
+    built = []
+    real_build = oracle.build_hamiltonian
+
+    def recording(*args):
+        built.append(real_build(*args))
+        return built[-1]
+
+    monkeypatch.setattr(oracle, "build_hamiltonian", recording)
+    return built
+
+
+def doubling_route(h, k, tol):
+    """The certificate without the half: compare c with 2c, 2c with 4c
+    and 4c with 8c, and return the first larger matrix that agrees."""
+    prev, cur = _lowest(h, k)[0], h
+    for _ in range(3):
+        cur = build_hamiltonian(cur.model_tag, cur.params, 2 * cur.cutoff)
+        vals, labels = _lowest(cur, k)
+        if np.max(np.abs(vals - prev)) < tol:
+            return [float(v) for v in vals], labels
+        prev = vals
+    raise AssertionError("the doubling route did not converge")
+
+
+class TestHalfCertificate:
+    """``eigen_lowest`` certifies the caller's cutoff c against c // 2 and
+    doubles only where the half disagrees."""
+
+    def test_disagreeing_half_takes_the_doubling_route(self, monkeypatch):
+        p, cutoff, k, tol = RabiParams(0.7, 0.4), 24, 6, 1e-10
+        h = build_hamiltonian("rabi", p, cutoff)
+        half = build_hamiltonian("rabi", p, cutoff // 2)
+        assert np.max(np.abs(_lowest(h, k)[0] - _lowest(half, k)[0])) >= tol
+        want = doubling_route(h, k, tol)
+        built = record_builds(monkeypatch)
+        spec = eigen_lowest(h, k, tol)
+        assert [m.cutoff for m in built] == [cutoff // 2, 2 * cutoff]
+        assert (spec.eigenvalues, spec.parities) == want
+
+    @pytest.mark.parametrize("tag,cutoff,k,half_built", [
+        ("rabi", 64, 16, True),
+        ("rabi", 64, 17, False),   # k > dimension(32)/4 = 16
+        ("rabi", 8, 2, True),
+        ("rabi", 8, 3, False),     # k > dimension(4)/4 = 2
+        ("rabi", 7, 1, False),     # 7 // 2 < 4
+        ("dho", 8, 1, True),
+        ("dho", 8, 2, False),      # k > dimension(4)/4 = 1
+    ])
+    def test_half_built_only_within_the_guard(self, monkeypatch, tag, cutoff,
+                                              k, half_built):
+        # decoupled, so every cutoff holds the exact lowest levels
+        p = DhoParams(1e-300) if tag == "dho" else RabiParams(1e-300, 0.2)
+        h = build_hamiltonian(tag, p, cutoff)
+        built = record_builds(monkeypatch)
+        eigen_lowest(h, k, 1e-10)
+        assert [m.cutoff for m in built] == [cutoff // 2 if half_built else 2 * cutoff]
+
+    @pytest.mark.parametrize("delta", [0.0, 0.9])
+    @pytest.mark.parametrize("kappa", workloads.GRID_KAPPAS)
+    def test_agrees_with_the_doubled_matrix_on_the_crosscheck_grid(self, kappa, delta):
+        # the spectrum certified at cutoff 200 is that of the 400 matrix
+        # the doubling certificate returned, to rounding
+        p = RabiParams(kappa, delta)
+        k = workloads._levels_needed(kappa, delta, workloads.CROSSCHECK_E_HI)
+        cutoff = workloads.CROSSCHECK_CUTOFF
+        spec = eigen_lowest(build_hamiltonian("rabi", p, cutoff), k)
+        vals, labels = _lowest(build_hamiltonian("rabi", p, 2 * cutoff), k)
+        assert np.max(np.abs(np.array(spec.eigenvalues) - vals)) <= 1e-12
+        assert spec.parities == labels
+
+
 class TestBlockDiagonalization:
     """``eigen_lowest`` diagonalizes each parity sector alone."""
 
     @staticmethod
     def _final_matrix(monkeypatch, tag, p, cutoff, k, tol):
-        built = []
-        real_build = oracle.build_hamiltonian
-
-        def recording(*args):
-            built.append(real_build(*args))
-            return built[-1]
-
-        monkeypatch.setattr(oracle, "build_hamiltonian", recording)
-        spec = eigen_lowest(real_build(tag, p, cutoff), k, tol)
-        return spec, built[-1] if built else None
+        """The spectrum and its certified matrix: the caller's own, or the
+        last doubling."""
+        h = oracle.build_hamiltonian(tag, p, cutoff)
+        built = record_builds(monkeypatch)
+        spec = eigen_lowest(h, k, tol)
+        doublings = [m for m in built if m.cutoff > cutoff]
+        return spec, doublings[-1] if doublings else h
 
     @pytest.mark.parametrize("tag", ALL_TAGS)
     def test_values_and_labels_match_dense(self, monkeypatch, tag):
         k = 10
         spec, final = self._final_matrix(monkeypatch, tag, params_for(tag), 48, k, 1e-10)
-        assert final is not None and final.cutoff > 48
         vals, vecs = np.linalg.eigh(final.entries)
         assert np.max(np.abs(np.array(spec.eigenvalues)
                              - np.linalg.eigvalsh(final.entries)[:k])) < 1e-12
@@ -249,7 +334,7 @@ class TestBlockDiagonalization:
         spec = eigen_lowest(build_hamiltonian("rabi", RabiParams(0.7, 0.4), 100),
                             14, 1e-8)
         assert spec.converged_count == 14
-        assert {width for _, width in calls} == {100, 200}
+        assert {width for _, width in calls} == {50, 100}
         # no model but gen-rabi needs eigenvectors
         for tag in ("rabi-modified", "jc", "dho"):
             eigen_lowest(build_hamiltonian(tag, params_for(tag), 100), 14, 1e-8)
