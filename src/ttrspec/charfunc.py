@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import CoefficientPoleError, NonConvergenceError
-from .recurrence import Pencil, Recurrence, tail_ratio_estimate
+from .recurrence import Recurrence, tail_ratio_estimate
 
 _TINY = 1e-300
 
@@ -84,6 +84,9 @@ def char_series(rec: Recurrence, x: float) -> CharEval:
     It stops with MaxTermsReached after 20000 terms, and with
     PoleDetected where a u_l denominator falls below 1e-12.
 
+    The one loop evaluates a ``pencil``'s coefficients inline, with the
+    bits of its methods, and calls any other ``a`` and ``b``.
+
     Parameters
     ----------
     rec : Recurrence
@@ -96,60 +99,37 @@ def char_series(rec: Recurrence, x: float) -> CharEval:
     CoefficientPoleError
         If some a_l with l >= 1 vanishes (the transform needs a_l != 0).
     """
-    pencil = rec.pencil
-    if pencil is not None:
-        return _pencil_series(pencil, x)
-    a, b, rel_tol, abs_tol, guard = rec.a, rec.b, _REL_TOL, _ABS_TOL, _POLE_GUARD
-    a0 = a(0, x)
-    a_prev = a(1, x)
-    if a_prev == 0.0:
-        raise CoefficientPoleError("coefficient pole at level 1")
-    term = -b(1, x) / a_prev
-    total = a0 + term
-    u_prev = 1.0
-
-    small_run = 1 if abs(term) <= rel_tol * abs(total) + abs_tol else 0
-    for l in range(2, _MAX_TERMS + 1):
-        a_l = a(l, x)
-        if a_l == 0.0:
-            raise CoefficientPoleError(f"coefficient pole at level {l}")
-        denom = 1.0 - u_prev * b(l, x) / (a_l * a_prev)
-        if -guard < denom < guard:
-            return CharEval(total, l - 1, SeriesStatus.POLE, abs(term))
-        u = 1.0 / denom
-        term *= u - 1.0
-        total += term
-        if abs(term) <= rel_tol * abs(total) + abs_tol:
-            small_run += 1
-            if small_run >= _CONSECUTIVE_SMALL:
-                return CharEval(total, l, SeriesStatus.CONVERGED, abs(term))
-        else:
-            small_run = 0
-        u_prev = u
-        a_prev = a_l
-    return CharEval(total, _MAX_TERMS, SeriesStatus.MAX_TERMS, abs(term))
-
-
-def _pencil_series(pencil: Pencil, x: float) -> CharEval:
-    """``char_series`` with ``pencil`` written out, as ``_pencil_count``
-    writes out the count: the same float operations in the same order."""
-    kappa, (s_even, s_odd) = pencil.kappa, pencil.shifts
+    a, b, pencil = rec.a, rec.b, rec.pencil
     rel_tol, abs_tol, guard = _REL_TOL, _ABS_TOL, _POLE_GUARD
-    a0 = (0.0 - x + s_even) / kappa  # kappa * (0 + 1) is kappa
-    a_prev = (1.0 - x + s_odd) / (kappa * 2.0)
+    if pencil is not None:
+        kappa, (s_even, s_odd) = pencil.kappa, pencil.shifts
+        a0 = (0.0 - x + s_even) / kappa  # kappa * (0 + 1) is kappa
+        a_prev = (1.0 - x + s_odd) / (kappa * 2.0)
+        b_1 = 0.5  # 1 / (1 + 1)
+        lf, s_l, s_next = 2.0, s_even, s_odd  # the level l as a float, its shift
+    else:
+        a0 = a(0, x)
+        a_prev = a(1, x)
+        b_1 = b(1, x)
     if a_prev == 0.0:
         raise CoefficientPoleError("coefficient pole at level 1")
-    term = -0.5 / a_prev  # -b_1 / a_1
+    term = -b_1 / a_prev
     total = a0 + term
     u_prev = 1.0
+
     small_run = 1 if abs(term) <= rel_tol * abs(total) + abs_tol else 0
-    lf, s_l, s_next = 2.0, s_even, s_odd  # the level l as a float, its shift
     for l in range(2, _MAX_TERMS + 1):
-        lf1 = lf + 1.0
-        a_l = (lf - x + s_l) / (kappa * lf1)
+        if pencil is not None:
+            lf1 = lf + 1.0
+            a_l = (lf - x + s_l) / (kappa * lf1)
+            b_l = 1.0 / lf1
+            s_l, s_next, lf = s_next, s_l, lf1
+        else:
+            a_l = a(l, x)
+            b_l = b(l, x)
         if a_l == 0.0:
             raise CoefficientPoleError(f"coefficient pole at level {l}")
-        denom = 1.0 - u_prev * (1.0 / lf1) / (a_l * a_prev)
+        denom = 1.0 - u_prev * b_l / (a_l * a_prev)
         if -guard < denom < guard:
             return CharEval(total, l - 1, SeriesStatus.POLE, abs(term))
         u = 1.0 / denom
@@ -163,7 +143,6 @@ def _pencil_series(pencil: Pencil, x: float) -> CharEval:
             small_run = 0
         u_prev = u
         a_prev = a_l
-        s_l, s_next, lf = s_next, s_l, lf1
     return CharEval(total, _MAX_TERMS, SeriesStatus.MAX_TERMS, abs(term))
 
 

@@ -184,13 +184,12 @@ def _lowest(h: TruncatedHamiltonian, k: int) -> tuple[np.ndarray, list[int | Non
 def eigen_lowest(h: TruncatedHamiltonian, k: int, tol: float = 1e-8) -> OracleSpectrum:
     """Lowest k eigenvalues, certified at the caller's cutoff where it can.
 
-    ``h`` (cutoff c) is first compared with the same model at c // 2,
-    when that half has at least 4 levels and k <= its dimension/4; if
-    their lowest k values agree to less than ``tol`` (in units of omega),
-    the spectrum of ``h`` is returned.  Otherwise the cutoff is doubled
-    (up to three times) until the lowest k values move by less than
-    ``tol`` under a doubling.  Either way the spectrum and parity labels
-    of the larger matrix of the agreeing pair are returned.  Each
+    The cutoffs c // 2 (when that half has at least 4 levels and
+    k <= its dimension/4), c = ``h.cutoff``, 2c, 4c and 8c are
+    diagonalized in turn until the lowest k values of two neighbours
+    agree to less than ``tol`` (in units of omega), and the spectrum and
+    parity labels of the larger of the two are returned: ``h``'s own
+    when it agrees with its half.  Each
     matrix is diagonalized one parity sector at a time (``_sectors``:
     the two sigma3 (-1)**n sectors of ``rabi``, ``rabi-modified`` and
     ``jc``), which changes no eigenvalue beyond rounding, and each level
@@ -201,8 +200,8 @@ def eigen_lowest(h: TruncatedHamiltonian, k: int, tol: float = 1e-8) -> OracleSp
 
     Raises ValueError unless ``tol`` is finite and positive,
     NumericsError if a matrix couples its two parity sectors, and
-    NonConvergenceError carrying the last two spectra if three doublings
-    do not suffice.  ``h`` itself is always diagonalized, never rebuilt.
+    NonConvergenceError carrying the 8c and 4c spectra (``last``,
+    ``previous``) if 8c does not agree.  ``h`` is never rebuilt.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -210,25 +209,20 @@ def eigen_lowest(h: TruncatedHamiltonian, k: int, tol: float = 1e-8) -> OracleSp
         raise ValueError("k must be <= dimension/4; raise the cutoff")
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError("tol must be finite and > 0")
-    cur = h
-    vals_prev = None
+    c = h.cutoff
+    ladder = [c, 2 * c, 4 * c, 8 * c]
+    if c // 2 >= 4 and k <= h.dimension // c * (c // 2) // 4:
+        ladder.insert(0, c // 2)
     vals = None
-    half = h.cutoff // 2
-    if half >= 4 and k <= h.dimension // h.cutoff * half // 4:
-        vals_prev = _lowest(build_hamiltonian(h.model_tag, h.params, half), k)[0]
-    for step in range(4):
-        vals, labels = _lowest(cur, k)
-        if vals_prev is not None:
-            moved = float(np.max(np.abs(vals - vals_prev)))
-            if moved < tol:
-                if cur.model_tag == "gen-rabi":
-                    vecs = np.linalg.eigh(cur.entries)[1][:, :k]
-                    labels = [_label(v) for v in _parity_expectations(vecs)]
-                return OracleSpectrum(eigenvalues=[float(v) for v in vals],
-                                      parities=labels, converged_count=k)
-        vals_prev = vals
-        if step < 3:
-            cur = build_hamiltonian(cur.model_tag, cur.params, cur.cutoff * 2)
+    for cutoff in ladder:
+        cur = h if cutoff == c else build_hamiltonian(h.model_tag, h.params, cutoff)
+        vals_prev, (vals, labels) = vals, _lowest(cur, k)
+        if vals_prev is not None and np.max(np.abs(vals - vals_prev)) < tol:
+            if cur.model_tag == "gen-rabi":
+                vecs = np.linalg.eigh(cur.entries)[1][:, :k]
+                labels = [_label(v) for v in _parity_expectations(vecs)]
+            return OracleSpectrum(eigenvalues=[float(v) for v in vals],
+                                  parities=labels, converged_count=k)
     raise NonConvergenceError(
         "lowest eigenvalues did not stabilize after 3 cutoff doublings",
         last=[float(v) for v in vals],

@@ -81,8 +81,8 @@ class Recurrence:
     a falling count.
 
     ``a`` and ``b`` that are the methods of one ``Pencil`` (see
-    ``pencil_recurrence``) are written out inline by ``char_series`` and
-    the count; coefficients given any other way, by ``replace`` too, are called.
+    ``pencil_recurrence``) are written out inline by the one loop of
+    ``char_series`` and of the count; any others, from ``replace`` too, are called.
     """
 
     a: Callable[[int, float], float]
@@ -205,18 +205,21 @@ def _sturm_count(rec: Recurrence, x: float) -> int:
     previous level: while the ratio stays at most 1/4 every later pivot
     keeps at least half of its coefficient, so the sign cannot change
     again.  A zero pivot is taken as a positive one of rounding size.
+    A ``pencil`` is evaluated inline, as in ``char_series``.
 
     Raises NumericsError on a non-finite pivot (for instance at a
     non-finite x) and when the count has not settled by ``_MAX_LEVELS``.
     """
-    pencil = rec.pencil
-    if pencil is not None:
-        return _pencil_count(rec, pencil, x)
-    a, b, isfinite = rec.a, rec.b, math.isfinite
+    a, b, pencil, isfinite = rec.a, rec.b, rec.pencil, math.isfinite
     sg = 1.0 if rec.profile.a_coef > 0 else -1.0
     count = 0
     ratio_prev = 0.0  # no level before 0, so the count cannot stop there
-    a_n = a(0, x)
+    if pencil is not None:
+        kappa, (s_even, s_odd) = pencil.kappa, pencil.shifts
+        a_n = (0.0 - x + s_even) / kappa  # kappa * (0 + 1) is kappa
+        lf, s_next, s_after = 1.0, s_odd, s_even  # the level of a_next, its shift
+    else:
+        a_n = a(0, x)
     p = a_n
     for n in range(_MAX_LEVELS):
         if not isfinite(p):
@@ -225,8 +228,14 @@ def _sturm_count(rec: Recurrence, x: float) -> int:
             p = sg * sys.float_info.epsilon
         elif sg * p < 0.0:
             count += 1
-        a_next = a(n + 1, x)
-        b_next = b(n + 1, x)
+        if pencil is not None:
+            lf1 = lf + 1.0
+            a_next = (lf - x + s_next) / (kappa * lf1)
+            b_next = 1.0 / lf1
+            s_next, s_after, lf = s_after, s_next, lf1
+        else:
+            a_next = a(n + 1, x)
+            b_next = b(n + 1, x)
         prod = a_n * a_next
         ratio = abs(b_next / prod) if prod != 0.0 else math.inf
         if (ratio <= 0.25 and ratio < ratio_prev and sg * a_next > 0.0
@@ -235,39 +244,6 @@ def _sturm_count(rec: Recurrence, x: float) -> int:
         ratio_prev = ratio
         p = a_next - b_next / p
         a_n = a_next
-    raise NumericsError(f"level count did not settle by level {_MAX_LEVELS} (x = {x})")
-
-
-def _pencil_count(rec: Recurrence, pencil: Pencil, x: float) -> int:
-    """``_sturm_count`` with ``pencil`` written out, in the same float
-    operations and order: float-float only, the level as lf, shifts swapped."""
-    kappa, (s_even, s_odd) = pencil.kappa, pencil.shifts
-    isfinite = math.isfinite
-    sg = 1.0 if rec.profile.a_coef > 0 else -1.0
-    count = 0
-    ratio_prev = 0.0
-    a_n = (0.0 - x + s_even) / kappa  # kappa * (0 + 1) is kappa
-    p = a_n
-    lf, s_next, s_after = 1.0, s_odd, s_even  # the level of a_next, its shift
-    for n in range(_MAX_LEVELS):
-        if not isfinite(p):
-            raise NumericsError(f"non-finite pivot at level {n} (x = {x})")
-        if p == 0.0:
-            p = sg * sys.float_info.epsilon
-        elif sg * p < 0.0:
-            count += 1
-        lf1 = lf + 1.0
-        a_next = (lf - x + s_next) / (kappa * lf1)
-        b_next = 1.0 / lf1
-        prod = a_n * a_next
-        ratio = abs(b_next / prod) if prod != 0.0 else math.inf
-        if (ratio <= 0.25 and ratio < ratio_prev and sg * a_next > 0.0
-                and sg * p >= 0.5 * sg * a_n > 0.0):
-            return count
-        ratio_prev = ratio
-        p = a_next - b_next / p
-        a_n = a_next
-        s_next, s_after, lf = s_after, s_next, lf1
     raise NumericsError(f"level count did not settle by level {_MAX_LEVELS} (x = {x})")
 
 

@@ -13,15 +13,17 @@ needs it: a run of rows whose end counts agree holds no level.  A cell
 changes sign once per simple zero and once per pole, so across a cell
 whose count rises by 0 or 1 a sign change that the count does not
 account for is a pole and ends a branch, as do explicit coefficient
-poles and PoleDetected points.  A cell whose count rises by 2 or more
-holds levels closer than 1e-10, such as a degenerate pair, which
-char(x) may cross with either sign, so its sign decides nothing.  ``scan`` also
-halves every cell whose count rises down to 1e-10; ``find_roots``
-polishes each such cell once, from the scan's char(x) at its ends and
-up to three secant steps inside it, and returns one root per level the
-count puts there.  The count assumes a recurrence whose coefficients
-form a pencil of the shipped orientation (see ``Recurrence``);
-NumericsError is raised where two of the counts taken fall.
+poles and PoleDetected points (``ScanResult.branch_ids``, computed only
+when read, as ``ttrspec scan`` does, and never by a solve).  A cell
+whose count rises by 2 or more holds levels closer than 1e-10, such as
+a degenerate pair, which char(x) may cross with either sign, so its
+sign decides nothing.  ``scan`` also halves every cell whose count
+rises down to 1e-10; ``find_roots`` polishes each such cell once,
+from the scan's char(x) at its ends and up to three secant steps inside
+it, and returns one root per level the count puts there.  The count
+assumes a recurrence whose coefficients form a pencil of the shipped
+orientation (see ``Recurrence``); NumericsError is raised where two of
+the counts taken fall.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ import bisect as _bisect
 import math
 from dataclasses import dataclass, fields, replace
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -58,16 +61,32 @@ class ScanResult:
     (levels closer than that share one cell), and ``counts[i]`` is the
     number of levels below ``xs[i]``, so the cells hold the levels in
     [xs[0], xs[-1]); a level within rounding of an end may fall on either
-    side of it.  ``branch_ids`` are non-decreasing and increment across
-    every cell that holds an explicit coefficient pole, touches a
-    PoleDetected point, or rises in count by 0 or 1 and changes sign a
-    number of times the count does not account for (a pole).
+    side of it.  ``poles`` are the explicit coefficient poles of the
+    window [x_lo, x_hi) ``scan`` was given.  ``branch_ids``, computed from
+    the fields when first read, are non-decreasing and increment across
+    every cell that holds one of ``poles``, touches a PoleDetected point,
+    or rises in count by 0 or 1 and changes sign a number of times the
+    count does not account for (a pole).
     """
 
     xs: np.ndarray
     fs: list[CharEval]
     counts: np.ndarray
-    branch_ids: np.ndarray
+    poles: list[float]
+
+    @cached_property
+    def branch_ids(self) -> np.ndarray:
+        """One branch label per row; see the class docstring."""
+        rows = list(zip(self.xs.tolist(), self.fs, self.counts.tolist()))
+        poles, ids = self.poles, [0]
+        for (xl, fl, cl), (xr, fr, cr) in zip(rows, rows[1:]):
+            converged = fl.status is fr.status is SeriesStatus.CONVERGED
+            rise = cr - cl
+            ends_branch = (not converged
+                           or (rise < 2 and (fl.value * fr.value <= 0.0) != (rise == 1))
+                           or _bisect.bisect_right(poles, xl) < _bisect.bisect_right(poles, xr))
+            ids.append(ids[-1] + ends_branch)
+        return np.asarray(ids)
 
 
 @dataclass(frozen=True)
@@ -202,19 +221,8 @@ def scan(rec: Recurrence, x_lo: float, x_hi: float, points: int) -> ScanResult:
 
     count_at = _isolate(rec, grid)
     xs = sorted(count_at)
-    fs = [_evaluate(rec, x) for x in xs]
-    rows = list(zip(xs, fs))
-    branch_ids = [0]
-    for (xl, fl), (xr, fr) in zip(rows, rows[1:]):
-        converged = fl.status is fr.status is SeriesStatus.CONVERGED
-        rise = count_at[xr] - count_at[xl]
-        ends_branch = (not converged
-                       or (rise < 2 and (fl.value * fr.value <= 0.0) != (rise == 1))
-                       or _bisect.bisect_right(poles, xl) < _bisect.bisect_right(poles, xr))
-        branch_ids.append(branch_ids[-1] + ends_branch)
-    return ScanResult(xs=np.asarray(xs), fs=fs,
-                      counts=np.asarray([count_at[x] for x in xs]),
-                      branch_ids=np.asarray(branch_ids))
+    return ScanResult(xs=np.asarray(xs), fs=[_evaluate(rec, x) for x in xs],
+                      counts=np.asarray([count_at[x] for x in xs]), poles=poles)
 
 
 def _polish(rec: Recurrence, lo: float, f_lo: CharEval, hi: float,

@@ -8,8 +8,8 @@ zeros included, and each kernel digest the md5 of the ``repr`` of every
 every level count, on a fixed grid: the CLI digests see only polished
 roots, the kernel digests every series term and every pivot.  A change
 that alters any of these bytes on purpose updates the digest and says
-why in CHANGES.md.  The inline pencil loops must give the bytes of the
-generic loops, which call the coefficient functions.
+why in CHANGES.md.  The pencil branch of each loop must give the bytes
+of its generic branch, which calls the coefficient functions.
 """
 
 import hashlib
@@ -54,6 +54,9 @@ GOLDEN = [
     ("roots --model rabi --kappa 0.7 --delta 0 --x-min -1 --x-max 2 --points 800 "
      "--format csv",
      "74cd59ff07f271c5b0f8db2c9da2779a"),
+    # x = E + 1 runs over [0, 5]: a pole at both window ends
+    ("scan --model rabi --kappa 1 --delta 0.4 --x-min -1 --x-max 4 --points 997",
+     "548ee2c1056e05ddd9e898ca5d13bbad"),
 ]
 
 # the order and text of the flags of the solving commands

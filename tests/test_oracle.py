@@ -176,11 +176,15 @@ class TestEigenLowest:
     def test_nonconvergence_carries_both_spectra(self):
         # kappa = 6 centers the displaced state near n = 36, far beyond
         # the largest cutoff three doublings can reach from 4
-        h = build_hamiltonian("rabi", RabiParams(6.0, 1.0), 4)
+        p = RabiParams(6.0, 1.0)
+        h = build_hamiltonian("rabi", p, 4)
         with pytest.raises(NonConvergenceError) as err:
             eigen_lowest(h, 2, 1e-10)
-        assert len(err.value.last) == 2
-        assert len(err.value.previous) == 2
+        last, previous = (list(_lowest(build_hamiltonian("rabi", p, c), 2)[0])
+                          for c in (32, 16))
+        assert err.value.last == last
+        assert err.value.previous == previous
+        assert last != previous
 
 
 def record_builds(monkeypatch):

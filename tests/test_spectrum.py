@@ -275,6 +275,27 @@ class TestResolveSpectrum:
         assert sum(rows) <= 4000 * len(rows) + 2 * len(roots)
         assert len(callers) - sum(rows) <= 3 * len(roots)
 
+    def test_solves_compute_no_branch_ids(self, monkeypatch):
+        # branch ids are a cached property that only ``ttrspec scan`` reads
+        import ttrspec.spectrum as spectrum
+
+        results = []
+        traced_scan = spectrum.scan
+
+        def recording_scan(*args, **kwargs):
+            results.append(traced_scan(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(spectrum, "scan", recording_scan)
+        resolve_spectrum("rabi", RabiParams(0.7, 0.4), (-1.0, 3.0), points=400)
+        flow("rabi-parity", RabiParams(0.7, 0.4), ("delta", 0.0, 0.4, 3),
+             (-1.0, 2.0), points=300)
+        assert len(results) == 1 + 3 * 2
+        assert all("branch_ids" not in vars(sr) for sr in results)
+        assert results[0].poles == [0.0, 1.0, 2.0, 3.0]
+        assert results[0].branch_ids[-1] >= 4  # each pole ends a branch
+        assert "branch_ids" in vars(results[0])
+
     def test_dho_energies(self):
         roots = zeros_of(resolve_spectrum("dho", DhoParams(0.7), (-1.0, 6.0),
                                           points=2000))
