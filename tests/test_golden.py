@@ -3,10 +3,12 @@
 Each CLI digest is the md5 of the stdout of one ``ttrspec`` invocation
 (help text at a fixed width of 80 columns), each matrix digest the md5
 of the entries of one truncated oracle Hamiltonian at cutoff 64, signed
-zeros included, and each kernel digest the md5 of the ``repr`` of every
+zeros included, each kernel digest the md5 of the ``repr`` of every
 ``char_series`` result (or the text of its CoefficientPoleError), or of
-every level count, on a fixed grid: the CLI digests see only polished
-roots, the kernel digests every series term and every pivot.  A change
+every level count, on a fixed grid, and each scan digest the md5 of the
+rows of one ``scan``: the CLI digests see only polished roots and a few
+rows, the kernel digests every series term and every pivot, and the scan
+digests every row of a solve's grid.  A change
 that alters any of these bytes on purpose updates the digest and says
 why in CHANGES.md.  The pencil branch of each loop must give the bytes
 of its generic branch, which calls the coefficient functions.
@@ -24,6 +26,7 @@ from ttrspec import (DhoParams, GenRabiParams, JcParams, RabiParams, build_hamil
 from ttrspec.charfunc import SeriesStatus, char_series
 from ttrspec.cli import cli
 from ttrspec.errors import NumericsError
+from ttrspec.spectrum import scan
 from ttrspec.models import (
     dho_recurrence,
     parity_rabi_recurrence,
@@ -108,6 +111,24 @@ KERNELS = [
      "8597a9626926336c79d5dbed20b4390d", "130ba857994ab41f52cd1543bb3eb6e9"),
 ]
 
+# (id, recurrence, E window, points, md5 of one ``scan``'s xs bytes, counts
+# bytes and fs repr): every grid row's count and char(x), and the ends of
+# every level's cell; at delta = 0 the rabi cells rise by 2
+SCANS = [
+    ("dho-0.7", dho_recurrence(DhoParams(0.7)), (-1.0, 6.0), 4000,
+     "05f6120240bb47751a4bf134eda61134"),
+    ("dho-1", dho_recurrence(DhoParams(1.0)), (-1.0, 6.0), 4000,
+     "d0acff4fc13d9438edc47ad87b72937c"),
+    ("parity-plus-1.5-0.7", parity_rabi_recurrence(RabiParams(1.5, 0.7), "plus"),
+     (-3.0, 8.0), 4000, "14a743e5ce7b37b295a3eefe250e5d86"),
+    ("parity-minus-1.5-0.7", parity_rabi_recurrence(RabiParams(1.5, 0.7), "minus"),
+     (-3.0, 8.0), 4000, "1862f0fc347bae085c52bb52442099f4"),
+    ("rabi-0", rabi_displaced_recurrence(RabiParams(0.7, 0.0)), (-1.0, 4.0), 2000,
+     "0df404d530f7034db0ece8c46745e34f"),
+    ("rabi-0.4", rabi_displaced_recurrence(RabiParams(0.7, 0.4)), (-1.0, 4.0), 2000,
+     "44510795739b787d02debcd892a3ac39"),
+]
+
 # every recurrence that declares a pencil, each with a generic twin
 PENCILS = ([(f"dho-{k}", dho_recurrence(DhoParams(k))) for k in (0.7, 1.0, 3.0, -0.7)]
            + [(f"parity-{s}-{k}-{d}", parity_rabi_recurrence(RabiParams(k, d), s))
@@ -155,6 +176,14 @@ def test_kernel_digest(rec, series_digest, count_digest):
     series = "\n".join(_outcome(char_series, rec, x) for x in KERNEL_GRID)
     assert _md5(series) == series_digest
     assert _md5(repr(counts)) == count_digest
+
+
+@pytest.mark.parametrize("rec, window, points, digest", [s[1:] for s in SCANS],
+                         ids=[s[0] for s in SCANS])
+def test_scan_digest(rec, window, points, digest):
+    sr = scan(rec, rec.x_of(window[0]), rec.x_of(window[1]), points)
+    assert hashlib.md5(sr.xs.tobytes() + sr.counts.tobytes()
+                       + repr(sr.fs).encode()).hexdigest() == digest
 
 
 # the caps, small enough that the loops stop at them

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -238,6 +239,25 @@ class TestLevelCount:
         for x in (math.nan, math.inf, -math.inf):
             with pytest.raises(NumericsError, match="non-finite pivot"):
                 rec.levels_below(x)
+
+    def test_non_finite_pivot_texts(self):
+        """The level and x of the first non-finite pivot, on the pencil
+        branch and the generic branch alike, and partway through a walk."""
+        rec = dho_recurrence(DhoParams(0.7))
+        generic = replace(rec, a=lambda n, x: rec.pencil.a(n, x))
+        assert rec.pencil is not None and generic.pencil is None
+        for x in (math.nan, math.inf, -math.inf):
+            for r in (rec, generic):
+                with pytest.raises(NumericsError) as err:
+                    r.levels_below(x)
+                assert str(err.value) == f"non-finite pivot at level 0 (x = {x})"
+        # p_2 = 0.1 and b_3 = 1e308, so p_3 = 1 - 1e309 overflows to -inf
+        b_table = {1: 0.1, 2: 0.81, 3: 1e308}
+        table = Recurrence(a=lambda n, x: 1.0, b=lambda n, x: b_table.get(n, 0.1),
+                           profile=AsymptoticProfile(0.0, 0.0, 1.0, 0.1))
+        with pytest.raises(NumericsError) as err:
+            table.levels_below(0.5)
+        assert str(err.value) == "non-finite pivot at level 3 (x = 0.5)"
 
     def test_unsettled_count_raises(self, monkeypatch):
         monkeypatch.setattr("ttrspec.recurrence._MAX_LEVELS", 20)

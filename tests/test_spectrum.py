@@ -28,6 +28,9 @@ from ttrspec import (
     resolve_spectrum,
     scan,
 )
+from ttrspec.charfunc import CharEval
+from ttrspec.errors import CoefficientPoleError
+from ttrspec.spectrum import ScanResult
 
 
 def constant_fixture():
@@ -225,6 +228,40 @@ class TestFindRoots:
             assert pair[1].bracket == (lo, hi)
             assert hi - lo <= 1e-10
             assert lo <= level <= hi
+
+    def test_rising_cells_read_at_the_grid_edges(self):
+        # a hand-built scan: rising first and last cells, a cell rising by
+        # 2, a PoleDetected end (x = 1, where a_1 = 0), a cell with no
+        # converged end, and a declared pole at a bracket end
+        base = dho_recurrence(DhoParams(0.7))
+        rec = Recurrence(a=base.a, b=base.b, profile=base.profile,
+                         explicit_poles=lambda lo, hi: [p for p in (1.505,)
+                                                        if lo <= p < hi],
+                         label="planted")
+        xs = [-0.5, -0.48, 0.2, 0.5, 0.52, 1.0, 1.505, 1.515, 2.0, 2.5, 2.52]
+        pole = CharEval(math.nan, 0, SeriesStatus.POLE, math.inf)
+        fs = []
+        for x in xs[:-2]:
+            try:
+                fs.append(char_series(rec, x))
+            except CoefficientPoleError:
+                fs.append(pole)
+        sr = ScanResult(xs=np.asarray(xs), fs=fs + [pole, pole],
+                        counts=np.asarray([0, 1, 1, 1, 3, 3, 4, 4, 4, 4, 5]),
+                        poles=[])
+        assert fs[5] == pole
+        got = [(r.index, r.bracket, r.x, r.residual, r.classification)
+               for r in find_roots(sr, rec)]
+        zero, crossing = RootKind.ZERO, RootKind.POLE_CROSSING
+        assert got == [
+            (0, (-0.5, -0.48), -0.4900000017631298, 4.11140795844853e-09, zero),
+            (1, (0.5, 0.52), 0.5100000573056643, 2.727141574897063e-07, zero),
+            (2, (0.5, 0.52), 0.5100000573056643, 2.727141574897063e-07, zero),
+            (3, (1.0, 1.505), 1.505, 0.10122292665318013, crossing),
+            (4, (2.5, 2.52), 2.51, math.inf, zero),
+        ]
+        assert all(type(v) is float for r in find_roots(sr, rec)
+                   for v in (r.x, r.energy, *r.bracket))
 
     def test_pole_hugging_zero_is_a_zero(self):
         # at kappa = 0.12 the pole next to E = 6 - kappa**2 lies about
