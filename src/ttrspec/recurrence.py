@@ -210,7 +210,7 @@ def _sturm_count(rec: Recurrence, x: float) -> int:
     Raises NumericsError on a non-finite pivot (for instance at a
     non-finite x) and when the count has not settled by ``_MAX_LEVELS``.
     """
-    a, b, pencil, isfinite = rec.a, rec.b, rec.pencil, math.isfinite
+    a, b, pencil = rec.a, rec.b, rec.pencil
     sg = 1.0 if rec.profile.a_coef > 0 else -1.0
     count = 0
     ratio_prev = 0.0  # no level before 0, so the count cannot stop there
@@ -222,7 +222,7 @@ def _sturm_count(rec: Recurrence, x: float) -> int:
         a_n = a(0, x)
     p = a_n
     for n in range(_MAX_LEVELS):
-        if not isfinite(p):
+        if p - p != 0.0:  # inf or nan, with no call
             raise NumericsError(f"non-finite pivot at level {n} (x = {x})")
         if p == 0.0:
             p = sg * sys.float_info.epsilon
@@ -237,7 +237,9 @@ def _sturm_count(rec: Recurrence, x: float) -> int:
             a_next = a(n + 1, x)
             b_next = b(n + 1, x)
         prod = a_n * a_next
-        ratio = abs(b_next / prod) if prod != 0.0 else math.inf
+        ratio = b_next / prod if prod != 0.0 else math.inf
+        if ratio < 0.0:
+            ratio = -ratio
         if (ratio <= 0.25 and ratio < ratio_prev and sg * a_next > 0.0
                 and sg * p >= 0.5 * sg * a_n > 0.0):
             return count

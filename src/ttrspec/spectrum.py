@@ -33,6 +33,7 @@ import math
 from dataclasses import dataclass, fields, replace
 from enum import Enum
 from functools import cached_property
+from itertools import takewhile
 
 import numpy as np
 
@@ -127,28 +128,28 @@ class FlowResult:
     tracks: list[list[tuple[int, "Root"]]]
 
 
-def _evaluate(rec: Recurrence, x: float) -> CharEval:
-    try:
-        return char_series(rec, x)
-    except CoefficientPoleError:
-        return CharEval(math.nan, 0, SeriesStatus.POLE, math.inf)
+#: char(x) where a coefficient is singular
+_POLE_EVAL = CharEval(math.nan, 0, SeriesStatus.POLE, math.inf)
 
 
-def _isolate(rec: Recurrence, grid: list[float]) -> dict[float, int]:
-    """The level count at every grid row and at both ends of the cell of
-    every level, as {x: count}.
+def _isolate(rec: Recurrence, grid: list[float]) -> tuple[list[int], list[tuple[float, int]]]:
+    """The level count at every grid row, and the (x, count) of both ends
+    of the cell of every level, ascending in x.
 
     The count never falls with x, so a run of grid rows whose end counts
     agree holds no level, and every row in it has that count.  A run
     whose count rises is split at its middle row, and a single grid cell
     whose count rises is halved on the count down to 1e-10, so a cell
     still holding several levels holds levels closer than that
-    (degenerate, or of different sectors).  This takes about
-    levels * log2(rows/levels) counts.  NumericsError is raised where
-    the count falls between two of the points it is taken at.
+    (degenerate, or of different sectors); a cell of one level is halved
+    in a plain loop.  This takes about levels * log2(rows/levels) counts
+    and one slice assignment per run of rows.  NumericsError is raised
+    where the count falls between two of the points it is taken at: the
+    ends of a run and its middle row, or of a cell and its midpoint.
     """
-    c_first, c_last = rec.levels_below(grid[0]), rec.levels_below(grid[-1])
-    count_at = {grid[0]: c_first, grid[-1]: c_last}
+    levels_below = rec.levels_below
+    c_first, c_last = levels_below(grid[0]), levels_below(grid[-1])
+    counts, ends = [c_first] * (len(grid) - 1) + [c_last], []
     # (lo, hi, count at lo, count at hi, indices of the grid rows lo ... hi;
     # none inside a grid cell)
     stack = [(grid[0], grid[-1], c_first, c_last, range(len(grid)))]
@@ -160,21 +161,26 @@ def _isolate(rec: Recurrence, grid: list[float]) -> dict[float, int]:
                 f"in '{rec.label}': its coefficients are not a pencil of the "
                 "orientation the count assumes")
         if c_hi == c_lo:
-            count_at.update((grid[k], c_lo) for k in rows)
+            counts[rows.start:rows.stop] = [c_lo] * len(rows)
             continue
         if len(rows) > 2:
-            m = len(rows) // 2
-            mid, left, right = grid[rows[m]], rows[:m + 1], rows[m:]
-        else:
-            mid, left, right = 0.5 * (lo + hi), range(0), range(0)
+            m = rows[len(rows) // 2]
+            mid = grid[m]
+            counts[m] = c_mid = levels_below(mid)
+            stack += [(mid, hi, c_mid, c_hi, range(m, rows.stop)),
+                      (lo, mid, c_lo, c_mid, range(rows.start, m + 1))]
+            continue
+        while True:
+            mid = 0.5 * (lo + hi)
             if not (hi - lo > _X_TOL and lo < mid < hi):
-                count_at[lo], count_at[hi] = c_lo, c_hi
-                continue
-        c_mid = rec.levels_below(mid)
-        if left:
-            count_at[mid] = c_mid
-        stack += [(mid, hi, c_mid, c_hi, right), (lo, mid, c_lo, c_mid, left)]
-    return count_at
+                ends += [(lo, c_lo), (hi, c_hi)]
+                break
+            c_mid = levels_below(mid)
+            if c_hi - c_lo > 1 or not c_lo <= c_mid <= c_hi:
+                stack += [(mid, hi, c_mid, c_hi, range(0)), (lo, mid, c_lo, c_mid, range(0))]
+                break
+            lo, hi = (mid, hi) if c_mid == c_lo else (lo, mid)
+    return counts, ends
 
 
 def scan(rec: Recurrence, x_lo: float, x_hi: float, points: int) -> ScanResult:
@@ -193,8 +199,9 @@ def scan(rec: Recurrence, x_lo: float, x_hi: float, points: int) -> ScanResult:
 
     ``rec.levels_below`` must rise with x, as it does for a pencil of the
     orientation ``Recurrence`` describes.  NumericsError is raised where
-    the count falls between two of the points it is taken at, so a count
-    that falls across the window is caught, but one that dips and
+    the count falls between two of the points it is taken at (the ends
+    and middle row of a run, or the ends and midpoint of a cell), so a
+    count that falls across the window is caught, but one that dips and
     recovers between two counted points is not.  The count's own
     NumericsError (a non-finite pivot, a count that does not settle) is
     likewise raised only at a counted point: a row inside a run whose end
@@ -211,18 +218,28 @@ def scan(rec: Recurrence, x_lo: float, x_hi: float, points: int) -> ScanResult:
     poles = sorted(rec.explicit_poles(x_lo, x_hi))
     grid = np.linspace(x_lo, x_hi, points).tolist()
     if poles:
-        nudge = _POLE_NUDGE * (x_hi - x_lo)
-        for i, x in enumerate(grid):
-            j = _bisect.bisect_left(poles, x)
-            near = min((abs(x - poles[m]) for m in (j - 1, j)
-                        if 0 <= m < len(poles)), default=math.inf)
-            if near < nudge:
-                grid[i] = x + nudge
+        # the rows near a pole lie next to it: |x - p| grows away from it
+        nudge, near = _POLE_NUDGE * (x_hi - x_lo), set()
+        for p in poles:
+            j = _bisect.bisect_left(grid, p)
+            for rows in (range(j, points), range(j - 1, -1, -1)):
+                near.update(takewhile(lambda i: abs(grid[i] - p) < nudge, rows))
+        for i in near:
+            grid[i] += nudge
 
-    count_at = _isolate(rec, grid)
-    xs = sorted(count_at)
-    return ScanResult(xs=np.asarray(xs), fs=[_evaluate(rec, x) for x in xs],
-                      counts=np.asarray([count_at[x] for x in xs]), poles=poles)
+    counts, ends = _isolate(rec, grid)
+    # each cell end once, among the grid rows, unless it is one of them
+    inner = {x: c for x, c in ends if x != grid[_bisect.bisect_left(grid, x)]}
+    at = [_bisect.bisect_left(grid, x) for x in inner]
+    xs = np.insert(np.asarray(grid), at, list(inner))
+    series, fs = char_series, []
+    for x in xs.tolist():
+        try:
+            fs.append(series(rec, x))
+        except CoefficientPoleError:
+            fs.append(_POLE_EVAL)
+    return ScanResult(xs=xs, fs=fs, counts=np.insert(np.asarray(counts), at, list(inner.values())),
+                      poles=poles)
 
 
 def _polish(rec: Recurrence, lo: float, f_lo: CharEval, hi: float,
@@ -244,7 +261,10 @@ def _polish(rec: Recurrence, lo: float, f_lo: CharEval, hi: float,
         x_new = hi - fhi * (hi - lo) / (fhi - flo)
         if not lo < x_new < hi:
             break
-        ev = _evaluate(rec, x_new)
+        try:
+            ev = char_series(rec, x_new)
+        except CoefficientPoleError:
+            break
         if ev.status is not SeriesStatus.CONVERGED:
             break
         if abs(ev.value) < abs(best_f):
@@ -265,18 +285,20 @@ def find_roots(sr: ScanResult, rec: Recurrence) -> list[Root]:
     three secant steps, and its point of smallest |char| is returned m
     times, with that residual and indices count_lo ... count_hi - 1: a
     cell holding several levels holds levels closer than 1e-10, such as
-    a degenerate pair.  A root within 1e-9 of an explicit coefficient
+    a degenerate pair.  Only the rows of cells whose count changes are
+    read; a cell whose count falls, which ``scan`` raises on, is polished
+    and gives no root.  A root within 1e-9 of an explicit coefficient
     pole is returned as a PoleCrossing, a possible exceptional point
     outside the regular spectrum; every other root is a Zero.
     """
-    xs = sr.xs.tolist()
-    poles = sorted(rec.explicit_poles(xs[0], xs[-1]))
-    rows = list(zip(xs, sr.fs, sr.counts.tolist()))
+    xs, fs, counts = sr.xs, sr.fs, sr.counts
+    poles = sorted(rec.explicit_poles(float(xs[0]), float(xs[-1])))
+    cells = np.flatnonzero(np.diff(counts))
     roots: list[Root] = []
-    for (lo, f_lo, c_lo), (hi, f_hi, c_hi) in zip(rows, rows[1:]):
-        if c_hi == c_lo:
-            continue
-        x, f = _polish(rec, lo, f_lo, hi, f_hi)
+    for k, lo, hi, c_lo, c_hi in zip(cells.tolist(), xs[cells].tolist(),
+                                     xs[cells + 1].tolist(), counts[cells].tolist(),
+                                     counts[cells + 1].tolist()):
+        x, f = _polish(rec, lo, fs[k], hi, fs[k + 1])
         near_pole = any(abs(x - p) <= 10.0 * _X_TOL for p in poles)
         kind = RootKind.POLE_CROSSING if near_pole else RootKind.ZERO
         roots += [Root(x=x, energy=rec.energy_of(x), residual=abs(f),
