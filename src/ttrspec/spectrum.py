@@ -132,18 +132,18 @@ class FlowResult:
 _POLE_EVAL = CharEval(math.nan, 0, SeriesStatus.POLE, math.inf)
 
 
-def _isolate(rec: Recurrence, grid: list[float]) -> tuple[list[int], list[tuple[float, int]]]:
+def _isolate(rec: Recurrence,
+             grid: list[float]) -> tuple[list[int], list[tuple[float, int]]]:
     """The level count at every grid row, and the (x, count) of both ends
     of the cell of every level, ascending in x.
 
     The count never falls with x, so a run of grid rows whose end counts
     agree holds no level, and every row in it has that count.  A run
     whose count rises is split at its middle row, and a single grid cell
-    whose count rises is halved on the count down to 1e-10, so a cell
-    still holding several levels holds levels closer than that
-    (degenerate, or of different sectors); a cell of one level is halved
-    in a plain loop.  This takes about levels * log2(rows/levels) counts
-    and one slice assignment per run of rows.  NumericsError is raised
+    whose count rises is halved on the count down to 1e-10 (in a plain
+    loop if it holds one level), so a cell still holding several holds
+    levels closer than that.  This takes about levels * log2(rows/levels)
+    counts and one slice assignment per run.  NumericsError is raised
     where the count falls between two of the points it is taken at: the
     ends of a run and its middle row, or of a cell and its midpoint.
     """
@@ -177,7 +177,8 @@ def _isolate(rec: Recurrence, grid: list[float]) -> tuple[list[int], list[tuple[
                 break
             c_mid = levels_below(mid)
             if c_hi - c_lo > 1 or not c_lo <= c_mid <= c_hi:
-                stack += [(mid, hi, c_mid, c_hi, range(0)), (lo, mid, c_lo, c_mid, range(0))]
+                stack += [(mid, hi, c_mid, c_hi, range(0)),
+                          (lo, mid, c_lo, c_mid, range(0))]
                 break
             lo, hi = (mid, hi) if c_mid == c_lo else (lo, mid)
     return counts, ends
@@ -186,8 +187,8 @@ def _isolate(rec: Recurrence, grid: list[float]) -> tuple[list[int], list[tuple[
 def scan(rec: Recurrence, x_lo: float, x_hi: float, points: int) -> ScanResult:
     """Evaluate char(x) and the level count on a grid over [x_lo, x_hi].
 
-    Grid points that coincide with explicit coefficient poles are
-    perturbed by 1e-9 of the window width.  The grid is counted by
+    Grid points within 1e-9 of the window width of an explicit
+    coefficient pole are moved up by that much, and x_hi down.  The grid is counted by
     bisection over its rows (``_isolate``): the count is taken at both
     ends and at the middle row of every run whose count rises, and the
     rows of a run whose end counts agree take that count.  Each grid cell
@@ -215,17 +216,17 @@ def scan(rec: Recurrence, x_lo: float, x_hi: float, points: int) -> ScanResult:
         raise ValueError("window must be ascending")
     if points < 16:
         raise ValueError("points must be >= 16")
-    poles = sorted(rec.explicit_poles(x_lo, x_hi))
+    # the poles of [x_lo, x_hi]: a row near one is nudged up, or in at x_hi
+    near_poles = sorted(rec.explicit_poles(x_lo, math.nextafter(x_hi, math.inf)))
+    poles = [p for p in near_poles if p < x_hi]
     grid = np.linspace(x_lo, x_hi, points).tolist()
-    if poles:
-        # the rows near a pole lie next to it: |x - p| grows away from it
-        nudge, near = _POLE_NUDGE * (x_hi - x_lo), set()
-        for p in poles:
-            j = _bisect.bisect_left(grid, p)
-            for rows in (range(j, points), range(j - 1, -1, -1)):
-                near.update(takewhile(lambda i: abs(grid[i] - p) < nudge, rows))
-        for i in near:
-            grid[i] += nudge
+    nudge, near = _POLE_NUDGE * (x_hi - x_lo), set()
+    for p in near_poles:  # the rows near p lie next to it: |x - p| grows away from it
+        j = _bisect.bisect_left(grid, p)
+        for rows in (range(j, points), range(j - 1, -1, -1)):
+            near.update(takewhile(lambda i: abs(grid[i] - p) < nudge, rows))
+    for i in near:
+        grid[i] += nudge if i < points - 1 else -nudge
 
     counts, ends = _isolate(rec, grid)
     # each cell end once, among the grid rows, unless it is one of them
@@ -238,8 +239,8 @@ def scan(rec: Recurrence, x_lo: float, x_hi: float, points: int) -> ScanResult:
             fs.append(series(rec, x))
         except CoefficientPoleError:
             fs.append(_POLE_EVAL)
-    return ScanResult(xs=xs, fs=fs, counts=np.insert(np.asarray(counts), at, list(inner.values())),
-                      poles=poles)
+    counts = np.insert(np.asarray(counts), at, list(inner.values()))
+    return ScanResult(xs=xs, fs=fs, counts=counts, poles=poles)
 
 
 def _polish(rec: Recurrence, lo: float, f_lo: CharEval, hi: float,

@@ -115,9 +115,12 @@ class TestScan:
 
     def test_grid_points_nudged_off_poles(self):
         rec = rabi_displaced_recurrence(RabiParams(0.7, 0.4))
-        # linspace(-1, 3, 2001) hits 0, 1, 2 exactly without the nudge
+        # linspace(-1, 3, 2001) hits 0, 1, 2 exactly without the nudge, and
+        # x_hi = 3 is a pole too: that row is nudged inward
         sr = scan(rec, -1.0, 3.0, 2001)
-        assert not any(float(x) in (0.0, 1.0, 2.0) for x in sr.xs)
+        assert not any(float(x) in (0.0, 1.0, 2.0, 3.0) for x in sr.xs)
+        assert sr.xs[-1] == 3.0 - 4e-9 and sr.poles == [0.0, 1.0, 2.0]
+        assert sr.fs[-1].status is SeriesStatus.CONVERGED
 
     @pytest.mark.parametrize("rec, x_lo, x_hi, points", [
         (dho_recurrence(DhoParams(0.7)), -1.0, 6.0, 500),
@@ -135,10 +138,12 @@ class TestScan:
     def test_grid_counts_equal_scalar_counts(self, rec, x_lo, x_hi, points):
         sr = scan(rec, x_lo, x_hi, points)
         assert sr.counts.tolist() == [rec.levels_below(float(x)) for x in sr.xs]
-        # the rows are the nudged grid plus the bracket ends of every root
+        # the rows are the nudged grid plus the bracket ends of every root;
+        # a row near a pole of [x_lo, x_hi] moves up, or down at x_hi
         nudge = 1e-9 * (x_hi - x_lo)
-        poles = rec.explicit_poles(x_lo, x_hi)
-        grid = [x + nudge if any(abs(x - p) < nudge for p in poles) else x
+        poles = rec.explicit_poles(x_lo, math.nextafter(x_hi, math.inf))
+        grid = [x + (nudge if x < x_hi else -nudge)
+                if any(abs(x - p) < nudge for p in poles) else x
                 for x in np.linspace(x_lo, x_hi, points).tolist()]
         ends = [x for r in find_roots(sr, rec) for x in r.bracket]
         assert sr.xs.tolist() == sorted(set(grid + ends))
