@@ -188,15 +188,15 @@ def scan(rec: Recurrence, x_lo: float, x_hi: float, points: int) -> ScanResult:
     """Evaluate char(x) and the level count on a grid over [x_lo, x_hi].
 
     Grid points within 1e-9 of the window width of an explicit
-    coefficient pole are moved up by that much, and x_hi down.  The grid is counted by
-    bisection over its rows (``_isolate``): the count is taken at both
-    ends and at the middle row of every run whose count rises, and the
-    rows of a run whose end counts agree take that count.  Each grid cell
-    whose count rises is halved on the count alone down to 1e-10; a cell
-    then holding one level changes sign across it unless a pole lies as
-    close, and one holding several holds levels closer than 1e-10.  The
-    ends of these cells join the grid, and each returned x carries
-    exactly one evaluation of char(x).
+    coefficient pole move up by that much, and x_hi down.  The grid is
+    counted by bisection over its rows (``_isolate``): the count is taken
+    at both ends and at the middle row of every run whose count rises,
+    and the rows of a run whose end counts agree take that count.  Each
+    grid cell whose count rises is halved on the count alone down to
+    1e-10; a cell then holding one level changes sign across it unless a
+    pole lies as close, and one holding several holds levels closer than
+    1e-10.  The ends of these cells join the grid, and each returned x
+    carries exactly one evaluation of char(x).
 
     ``rec.levels_below`` must rise with x, as it does for a pencil of the
     orientation ``Recurrence`` describes.  NumericsError is raised where
@@ -233,10 +233,10 @@ def scan(rec: Recurrence, x_lo: float, x_hi: float, points: int) -> ScanResult:
     inner = {x: c for x, c in ends if x != grid[_bisect.bisect_left(grid, x)]}
     at = [_bisect.bisect_left(grid, x) for x in inner]
     xs = np.insert(np.asarray(grid), at, list(inner))
-    series, fs = char_series, []
+    fs = []
     for x in xs.tolist():
         try:
-            fs.append(series(rec, x))
+            fs.append(char_series(rec, x))
         except CoefficientPoleError:
             fs.append(_POLE_EVAL)
     counts = np.insert(np.asarray(counts), at, list(inner.values()))
