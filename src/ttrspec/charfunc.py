@@ -19,8 +19,8 @@ provided:
 
   whose k-th partial sum equals the k-th convergent of the fraction;
 
-* ``ratio_cf``: direct backward evaluation of the continued fraction
-  for r_0, seeded with the asymptotic tail ratio.
+* ``ratio_cf``: one backward pass of the continued fraction for r_0,
+  seeded with the asymptotic tail ratio at a depth the coefficients give.
 
 ``minimal_solution`` reconstructs m_0..m_N at an accepted root from the
 same backward ratios.
@@ -47,10 +47,7 @@ _CONSECUTIVE_SMALL = 3
 _MAX_TERMS = 20000
 #: a u_l denominator smaller than this is a pole of the series
 _POLE_GUARD = 1e-12
-#: backward passes start at least this deep and double until r_0 agrees
-#: to _CF_REL_TOL between two passes, up to _CF_MAX_DEPTH
-_CF_DEPTH = 64
-_CF_REL_TOL = 1e-12
+#: levels the depth walk of a backward pass may take: a safety limit
 _CF_MAX_DEPTH = 1 << 20
 
 
@@ -174,12 +171,8 @@ def _cf_ratios(rec: Recurrence, x: float, depth: int, keep: int,
 def ratio_cf(rec: Recurrence, x: float) -> float:
     """Minimal-solution ratio r_0 = m_1/m_0 by backward continued fraction.
 
-    Evaluates backward seeded with the asymptotic tail ratio, doubling
-    the start depth until two successive approximants agree to 1e-12
-    (``minimal_ratios`` with n_max = 0).
-
-    Raises NonConvergenceError (carrying both approximants) if the depth
-    cap is reached without agreement.
+    One backward pass seeded with the asymptotic tail ratio, from the
+    depth the recurrence gives (``minimal_ratios`` with n_max = 0).
     """
     return minimal_ratios(rec, x, 0)[0]
 
@@ -198,24 +191,30 @@ class MinimalSolution:
 
 
 def minimal_ratios(rec: Recurrence, x: float, n_max: int) -> list[float]:
-    """Minimal ratios r_0..r_{n_max} from one converged backward pass.
+    """Minimal ratios r_0..r_{n_max} from one backward pass.
 
-    The start depth doubles until r_0 stabilizes (the deeper ratios
-    converge faster still).  Useful when the coefficients m_n themselves
-    would underflow: the ratios stay of size O(1/n).
+    A pass shrinks its seed error at each level n by |t_-/t_+|, the ratio
+    of the roots of t^2 + a_n t + b_n = 0 (Gautschi, SIAM Rev. 9, 1967),
+    so it starts at the first depth >= max(2 n_max, 1) where the product
+    of these ratios since the last level with complex roots is <= 2^-53.
+    The ratios stay O(1/n) where the m_n themselves would underflow.
+
+    Raises NonConvergenceError if the walk reaches ``_CF_MAX_DEPTH``.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    d = max(2 * n_max, _CF_DEPTH)
-    rs = prev = _cf_ratios(rec, x, d, n_max)
-    while d < _CF_MAX_DEPTH:
-        d *= 2
-        prev, rs = rs, _cf_ratios(rec, x, d, n_max)
-        if abs(rs[0] - prev[0]) <= _CF_REL_TOL * max(1.0, abs(rs[0])):
-            return rs
-    raise NonConvergenceError(
-        f"backward ratios did not stabilize by depth {d}",
-        last=rs[0], previous=prev[0])
+    floor, shrink = max(2 * n_max, 1), 1.0
+    for n in range(1, _CF_MAX_DEPTH + 1):
+        a_n, b_n = rec.a(n, x), rec.b(n, x)
+        disc = a_n * a_n - 4.0 * b_n
+        if disc < 0.0:
+            shrink = 1.0
+            continue
+        t_plus = abs(a_n) + disc ** 0.5  # 2 |t_+|; t_- t_+ = b_n
+        shrink *= 4.0 * abs(b_n) / (t_plus * t_plus)
+        if shrink <= 2.0 ** -53 and n >= floor:  # the unit roundoff
+            return _cf_ratios(rec, x, n, n_max)
+    raise NonConvergenceError(f"backward pass depth not found by level {_CF_MAX_DEPTH}")
 
 
 def minimal_solution(rec: Recurrence, x_root: float, n_count: int) -> MinimalSolution:

@@ -24,6 +24,7 @@ from ttrspec import (
     ratio_cf,
 )
 from ttrspec import charfunc
+from test_golden import KERNEL_GRID, KERNELS
 
 
 def table_recurrence(a_vals, b_vals, a0=1.0, k=None):
@@ -89,6 +90,28 @@ class TestCharSeries:
         assert ev.terms_used == 5
 
 
+def doubling_reference(rec, x):
+    """r_0 by backward passes from depth 64, doubled until two agree to 1e-12."""
+    depth = 64
+    r0 = charfunc._cf_ratios(rec, x, depth, 0)[0]
+    while depth < 1 << 20:
+        depth *= 2
+        prev, r0 = r0, charfunc._cf_ratios(rec, x, depth, 0)[0]
+        if abs(r0 - prev) <= 1e-12 * max(1.0, abs(r0)):
+            return r0
+    raise AssertionError(f"doubling did not settle at x = {x}")
+
+
+# past x = 5 the walk meets levels with complex roots before its depth
+REFERENCE_POINTS = (
+    [(tag, rec, x) for tag, rec, *_ in KERNELS
+     for x in KERNEL_GRID + [5.5, 7.25, 12.0, 20.3]
+     if x not in rec.explicit_poles(-1.0, 21.0)]
+    + [(f"dho-{k}", dho_recurrence(DhoParams(k)), x)
+       for k in (10.0, 40.0) for x in (-0.5, 2.5, 5.5)]
+    + [(f"bessel-{z}", bessel_fixture(z), 0.0) for z in (1.0, 2.0)])
+
+
 class TestRatioCf:
     def test_bessel_ratio(self):
         rec = bessel_fixture(1.0)
@@ -106,15 +129,31 @@ class TestRatioCf:
         assert r0 == pytest.approx(-rec.a(0, 0.51), abs=1e-10)
         assert r0 == pytest.approx(0.51 / 0.7, abs=1e-10)
 
-    def test_non_convergence_carries_both_approximants(self, monkeypatch):
-        monkeypatch.setattr(charfunc, "_CF_DEPTH", 2)
-        monkeypatch.setattr(charfunc, "_CF_REL_TOL", 1e-300)
+    @pytest.mark.parametrize("tag", sorted({p[0] for p in REFERENCE_POINTS}))
+    def test_one_pass_matches_doubling_reference(self, tag):
+        for _, rec, x in (p for p in REFERENCE_POINTS if p[0] == tag):
+            assert ratio_cf(rec, x) == pytest.approx(doubling_reference(rec, x),
+                                                     rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("n_max", [0, 1, 60])
+    def test_one_backward_pass(self, monkeypatch, n_max):
+        calls = []
+        cf_ratios = charfunc._cf_ratios
+
+        def counted(*args, **kwargs):
+            calls.append(args[2])
+            return cf_ratios(*args, **kwargs)
+
+        monkeypatch.setattr(charfunc, "_cf_ratios", counted)
+        rs = minimal_ratios(dho_recurrence(DhoParams(0.7)), 0.3, n_max)
+        assert len(rs) == n_max + 1
+        assert len(calls) == 1 and calls[0] >= max(2 * n_max, 1)
+
+    def test_depth_cap_raises(self, monkeypatch):
+        # at kappa = 0.7 the walk needs about 17 levels
         monkeypatch.setattr(charfunc, "_CF_MAX_DEPTH", 8)
-        rec = dho_recurrence(DhoParams(0.7))
-        with pytest.raises(NonConvergenceError) as err:
-            ratio_cf(rec, 0.3)
-        assert math.isfinite(err.value.last) and math.isfinite(err.value.previous)
-        assert err.value.last != err.value.previous
+        with pytest.raises(NonConvergenceError, match="level 8"):
+            ratio_cf(dho_recurrence(DhoParams(0.7)), 0.3)
 
     def test_series_equals_a0_plus_cf_random_models(self):
         rng = np.random.default_rng(42)
