@@ -35,7 +35,7 @@ import enum
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import CoefficientPoleError, NonConvergenceError
+from .errors import NonConvergenceError
 from .recurrence import Recurrence, tail_ratio_estimate
 
 _TINY = 1e-300
@@ -60,8 +60,9 @@ class SeriesStatus(enum.Enum):
 class CharEval(NamedTuple):
     """One evaluation of the characteristic series.
 
-    ``last_term`` is the magnitude of the final product rho_1...rho_k.
-    status POLE means a u_l denominator fell inside the pole guard, the
+    ``last_term`` is the magnitude of the final product rho_1...rho_k,
+    and ``terms_used`` is k, or 0 for a value taken from the backward
+    fraction (see ``char_series``).  status POLE means a u_l denominator fell inside the pole guard, the
     numerical signature of m_0 = 0 where the fraction (and the series)
     genuinely diverges; scanners treat such points as branch boundaries.
     """
@@ -84,17 +85,25 @@ def char_series(rec: Recurrence, x: float) -> CharEval:
     The one loop evaluates a ``pencil``'s coefficients inline, with the
     bits of its methods, and calls any other ``a`` and ``b``.
 
+    The transform divides by every a_l (l >= 1), so it is undefined at
+    an exact zero of one, although char(x) is not: the zero enters the
+    fraction only as a_l + r_l.  There, and where a_l a_{l-1} underflows
+    to 0, the value is a_0 + ``ratio_cf``, Converged with ``terms_used``
+    0 and ``last_term`` 0.
+
     Parameters
     ----------
     rec : Recurrence
         Coefficient functions and metadata.
     x : float
-        Energy parameter; must not sit on an explicit coefficient pole.
+        Energy parameter.
 
     Raises
     ------
     CoefficientPoleError
-        If some a_l with l >= 1 vanishes (the transform needs a_l != 0).
+        From the coefficient functions, at an explicit pole they declare.
+    NonConvergenceError
+        If the backward fraction finds no depth by ``_CF_MAX_DEPTH``.
     """
     a, b, pencil = rec.a, rec.b, rec.pencil
     rel_tol, abs_tol, guard = _REL_TOL, _ABS_TOL, _POLE_GUARD
@@ -108,38 +117,37 @@ def char_series(rec: Recurrence, x: float) -> CharEval:
         a0 = a(0, x)
         a_prev = a(1, x)
         b_1 = b(1, x)
-    if a_prev == 0.0:
-        raise CoefficientPoleError("coefficient pole at level 1")
-    term = -b_1 / a_prev
-    total = a0 + term
-    u_prev = 1.0
+    try:
+        term = -b_1 / a_prev
+        total = a0 + term
+        u_prev = 1.0
 
-    small_run = 1 if abs(term) <= rel_tol * abs(total) + abs_tol else 0
-    for l in range(2, _MAX_TERMS + 1):
-        if pencil is not None:
-            lf1 = lf + 1.0
-            a_l = (lf - x + s_l) / (kappa * lf1)
-            b_l = 1.0 / lf1
-            s_l, s_next, lf = s_next, s_l, lf1
-        else:
-            a_l = a(l, x)
-            b_l = b(l, x)
-        if a_l == 0.0:
-            raise CoefficientPoleError(f"coefficient pole at level {l}")
-        denom = 1.0 - u_prev * b_l / (a_l * a_prev)
-        if -guard < denom < guard:
-            return CharEval(total, l - 1, SeriesStatus.POLE, abs(term))
-        u = 1.0 / denom
-        term *= u - 1.0
-        total += term
-        if abs(term) <= rel_tol * abs(total) + abs_tol:
-            small_run += 1
-            if small_run >= _CONSECUTIVE_SMALL:
-                return CharEval(total, l, SeriesStatus.CONVERGED, abs(term))
-        else:
-            small_run = 0
-        u_prev = u
-        a_prev = a_l
+        small_run = 1 if abs(term) <= rel_tol * abs(total) + abs_tol else 0
+        for l in range(2, _MAX_TERMS + 1):
+            if pencil is not None:
+                lf1 = lf + 1.0
+                a_l = (lf - x + s_l) / (kappa * lf1)
+                b_l = 1.0 / lf1
+                s_l, s_next, lf = s_next, s_l, lf1
+            else:
+                a_l = a(l, x)
+                b_l = b(l, x)
+            denom = 1.0 - u_prev * b_l / (a_l * a_prev)
+            if -guard < denom < guard:
+                return CharEval(total, l - 1, SeriesStatus.POLE, abs(term))
+            u = 1.0 / denom
+            term *= u - 1.0
+            total += term
+            if abs(term) <= rel_tol * abs(total) + abs_tol:
+                small_run += 1
+                if small_run >= _CONSECUTIVE_SMALL:
+                    return CharEval(total, l, SeriesStatus.CONVERGED, abs(term))
+            else:
+                small_run = 0
+            u_prev = u
+            a_prev = a_l
+    except ZeroDivisionError:  # a_1 or a_l a_{l-1} is 0, exactly or by underflow
+        return CharEval(a0 + ratio_cf(rec, x), 0, SeriesStatus.CONVERGED, 0.0)
     return CharEval(total, _MAX_TERMS, SeriesStatus.MAX_TERMS, abs(term))
 
 

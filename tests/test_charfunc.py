@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -70,10 +71,27 @@ class TestCharSeries:
         assert ev.status is SeriesStatus.POLE
         assert ev.terms_used == 1
 
-    def test_coefficient_pole_raises(self):
-        rec = table_recurrence({1: 0.0, 2: 1.0}, {1: 1.0, 2: 1.0})
-        with pytest.raises(CoefficientPoleError, match="level 1"):
-            char_series(rec, 0.0)
+    def test_coefficient_zero_is_not_a_pole(self):
+        # a_1 = (1 - x)/(2 kappa) is exactly 0 at DHO kappa = 1, x = 1, the
+        # level E = 2 - kappa^2: the transform is undefined there, char is 0
+        rec = dho_recurrence(DhoParams(1.0))
+        assert rec.a(1, 1.0) == 0.0
+        backward = rec.a(0, 1.0) + ratio_cf(rec, 1.0)
+        assert abs(backward) <= 1e-15
+        generic = replace(rec, a=lambda n, x: rec.pencil.a(n, x))
+        assert generic.pencil is None
+        for twin in (rec, generic):
+            assert char_series(twin, 1.0) == (backward, 0, SeriesStatus.CONVERGED, 0.0)
+
+    def test_underflowing_coefficient_pair_uses_backward_fraction(self):
+        # a_2 is the smallest subnormal at x = 2, so a_3 a_2 underflows to 0
+        rec = parity_rabi_recurrence(RabiParams(0.5, 5e-324), "plus")
+        assert rec.a(2, 2.0) != 0.0 and rec.a(3, 2.0) * rec.a(2, 2.0) == 0.0
+        backward = rec.a(0, 2.0) + ratio_cf(rec, 2.0)
+        generic = replace(rec, a=lambda n, x: rec.pencil.a(n, x))
+        assert generic.pencil is None
+        for twin in (rec, generic):
+            assert char_series(twin, 2.0) == (backward, 0, SeriesStatus.CONVERGED, 0.0)
 
     def test_displaced_rabi_singular_at_integer(self):
         rec = rabi_displaced_recurrence(RabiParams(0.7, 0.4))

@@ -43,7 +43,7 @@ GOLDEN = [
      "--format csv",
      "d98d5d9c50abaa8f28f922da08252d50"),
     ("scan --model dho --kappa 0.7 --x-min -1 --x-max 2 --points 200",
-     "8b10368f353f124952fc9463a48ea51c"),
+     "ea7ab0c99e4d9d15021752cf59c71142"),
     ("scan --model rabi-parity --parity minus --kappa 0.7 --delta 0.4 --x-min -1 "
      "--x-max 1 --points 300",
      "8b6d6a1fe97459f04a584cd6d57e58ea"),
@@ -90,28 +90,28 @@ KERNEL_GRID = [i / 20 - 1 for i in range(101)]
 # both rabi-parity sectors are the dho recurrence, bit for bit
 KERNELS = [
     ("dho-0.7", dho_recurrence(DhoParams(0.7)),
-     "316591a2102cec806763f9c9d4e71cb7", "72eeae923ef33a144e069d533078b2f9"),
+     "bbaaff81f51d9262f68a9dbe5daaf2de", "72eeae923ef33a144e069d533078b2f9"),
     ("dho-1", dho_recurrence(DhoParams(1.0)),
-     "760a072b3773750e531d4951d94007cb", "7063106105cf67028710a2483ca6caa9"),
+     "42002d699f930fc4c0c9929e0b4f9c22", "7063106105cf67028710a2483ca6caa9"),
     ("parity-plus-0.4", parity_rabi_recurrence(RabiParams(0.7, 0.4), "plus"),
      "948fe94b5705118a92a72f9b084906a1", "e60681a9133907c82fb991d09c580293"),
     ("parity-minus-0.4", parity_rabi_recurrence(RabiParams(0.7, 0.4), "minus"),
      "e1c9e14ce6d6ac0339574ee6f81cd320", "c6e184a08c051f339fdef96427ba4d66"),
     ("parity-plus-0", parity_rabi_recurrence(RabiParams(0.7, 0.0), "plus"),
-     "316591a2102cec806763f9c9d4e71cb7", "72eeae923ef33a144e069d533078b2f9"),
+     "bbaaff81f51d9262f68a9dbe5daaf2de", "72eeae923ef33a144e069d533078b2f9"),
     ("parity-minus-0", parity_rabi_recurrence(RabiParams(0.7, 0.0), "minus"),
-     "316591a2102cec806763f9c9d4e71cb7", "72eeae923ef33a144e069d533078b2f9"),
+     "bbaaff81f51d9262f68a9dbe5daaf2de", "72eeae923ef33a144e069d533078b2f9"),
     ("rabi-0.4", rabi_displaced_recurrence(RabiParams(0.7, 0.4)),
      "8bcdfe60a7fff3da496a24a8b81d4c06", "57a76250d594986149179b42068e0e63"),
     ("rabi-0", rabi_displaced_recurrence(RabiParams(0.7, 0.0)),
      "f3d93ab0d72fe17692fc92e0c4fe7df2", "27f219cb689dfd37b4aa898f9dccda3d"),
     # walks of about 4 kappa^2 levels, pinned by the bits of the generic loops
     ("dho-3", dho_recurrence(DhoParams(3.0)),
-     "14e98b805953aa95bff24edfec7d51a2", "02361a0ec3bb525746ad80a4b424b85b"),
+     "c933ed8d531b48c3fec4fb523dd501f9", "02361a0ec3bb525746ad80a4b424b85b"),
     ("parity-plus-2-1.5", parity_rabi_recurrence(RabiParams(2.0, 1.5), "plus"),
-     "888e5f06c851b25954cd1b8634518104", "0f783175a1c7ffb7bc45e1a0094ae7e5"),
+     "b3ff1ba5afb19028138f499dddc04ef9", "0f783175a1c7ffb7bc45e1a0094ae7e5"),
     ("parity-minus-2-1.5", parity_rabi_recurrence(RabiParams(2.0, 1.5), "minus"),
-     "8597a9626926336c79d5dbed20b4390d", "130ba857994ab41f52cd1543bb3eb6e9"),
+     "4424c00155c030b1a1ff0d557a1fd836", "130ba857994ab41f52cd1543bb3eb6e9"),
 ]
 
 # (id, recurrence, E window, points, md5 of one ``scan``'s xs bytes, counts
@@ -119,9 +119,9 @@ KERNELS = [
 # every level's cell; at delta = 0 the rabi cells rise by 2
 SCANS = [
     ("dho-0.7", dho_recurrence(DhoParams(0.7)), (-1.0, 6.0), 4000,
-     "05f6120240bb47751a4bf134eda61134"),
+     "a21813075bc8a7761dab301a0a7f7515"),
     ("dho-1", dho_recurrence(DhoParams(1.0)), (-1.0, 6.0), 4000,
-     "d0acff4fc13d9438edc47ad87b72937c"),
+     "7cdf81cc8a7696aaa7285deb5c670087"),
     ("parity-plus-1.5-0.7", parity_rabi_recurrence(RabiParams(1.5, 0.7), "plus"),
      (-3.0, 8.0), 4000, "14a743e5ce7b37b295a3eefe250e5d86"),
     ("parity-minus-1.5-0.7", parity_rabi_recurrence(RabiParams(1.5, 0.7), "minus"),
