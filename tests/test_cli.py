@@ -5,7 +5,7 @@ from click.testing import CliRunner
 
 from ttrspec.cli import cli
 from ttrspec.errors import NumericsError
-from ttrspec.validation import CheckResult
+from ttrspec.validation import CheckResult, run_validation
 
 
 @pytest.fixture
@@ -316,6 +316,11 @@ def test_numerics_error_exits_3_from_every_command(runner, monkeypatch, target,
 
 
 class TestValidateCommand:
+    def test_whole_battery_passes(self):
+        results = run_validation()
+        assert len(results) == 11
+        assert [r for r in results if not r.ok] == []
+
     def test_single_model_passes(self, runner):
         res = runner.invoke(cli, ["validate", "--model", "jc"])
         assert res.exit_code == 0
