@@ -62,9 +62,10 @@ class CharEval(NamedTuple):
 
     ``last_term`` is the magnitude of the final product rho_1...rho_k,
     and ``terms_used`` is k, or 0 for a value taken from the backward
-    fraction (see ``char_series``).  status POLE means a u_l denominator fell inside the pole guard, the
-    numerical signature of m_0 = 0 where the fraction (and the series)
-    genuinely diverges; scanners treat such points as branch boundaries.
+    fraction (see ``char_series``).  status POLE means a u_l denominator
+    fell inside the pole guard, the numerical signature of m_0 = 0 where
+    the fraction (and the series) genuinely diverges; scanners treat
+    such points as branch boundaries.
     """
 
     value: float
