@@ -204,8 +204,9 @@ def minimal_ratios(rec: Recurrence, x: float, n_max: int) -> list[float]:
 
     A pass shrinks its seed error at each level n by |t_-/t_+|, the ratio
     of the roots of t^2 + a_n t + b_n = 0 (Gautschi, SIAM Rev. 9, 1967),
-    so it starts at the first depth >= max(2 n_max, 1) where the product
-    of these ratios since the last level with complex roots is <= 2^-53.
+    so it starts at the first depth d >= max(2 n_max, 1) where the
+    product of these ratios since the last level with complex roots is
+    <= 2^-53 and a_{d+1}, whose -b_{d+1}/a_{d+1} seeds the pass, is not 0.
     The ratios stay O(1/n) where the m_n themselves would underflow.
 
     Raises NonConvergenceError if the walk reaches ``_CF_MAX_DEPTH``.
@@ -215,14 +216,14 @@ def minimal_ratios(rec: Recurrence, x: float, n_max: int) -> list[float]:
     floor, shrink = max(2 * n_max, 1), 1.0
     for n in range(1, _CF_MAX_DEPTH + 1):
         a_n, b_n = rec.a(n, x), rec.b(n, x)
+        if shrink <= 2.0 ** -53 and n > floor and a_n != 0.0:  # the unit roundoff
+            return _cf_ratios(rec, x, n - 1, n_max)
         disc = a_n * a_n - 4.0 * b_n
         if disc < 0.0:
             shrink = 1.0
             continue
         t_plus = abs(a_n) + disc ** 0.5  # 2 |t_+|; t_- t_+ = b_n
         shrink *= 4.0 * abs(b_n) / (t_plus * t_plus)
-        if shrink <= 2.0 ** -53 and n >= floor:  # the unit roundoff
-            return _cf_ratios(rec, x, n, n_max)
     raise NonConvergenceError(f"backward pass depth not found by level {_CF_MAX_DEPTH}")
 
 

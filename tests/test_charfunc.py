@@ -117,6 +117,10 @@ def doubling_reference(rec, x):
     raise AssertionError(f"doubling did not settle at x = {x}")
 
 
+# at these points the product of root ratios first reaches 2^-53 at a
+# depth d whose a_{d+1} is exactly 0, so -b_{d+1}/a_{d+1} cannot seed it
+ZERO_SEEDS = ((0.1, 8.0), (0.03, 6.0), (0.01, 5.0))
+
 # the x above 4 put levels with complex roots inside the depth walk,
 # where its product of root ratios starts again
 REFERENCE_POINTS = (
@@ -125,7 +129,8 @@ REFERENCE_POINTS = (
      if x not in rec.explicit_poles(-1.0, 21.0)]
     + [(f"dho-{k}", dho_recurrence(DhoParams(k)), x)
        for k in (10.0, 40.0) for x in (-0.5, 2.5, 5.5)]
-    + [(f"bessel-{z}", bessel_fixture(z), 0.0) for z in (1.0, 2.0)])
+    + [(f"bessel-{z}", bessel_fixture(z), 0.0) for z in (1.0, 2.0)]
+    + [(f"dho-{k}", dho_recurrence(DhoParams(k)), x) for k, x in ZERO_SEEDS])
 
 
 class TestRatioCf:
@@ -164,6 +169,25 @@ class TestRatioCf:
         rs = minimal_ratios(dho_recurrence(DhoParams(0.7)), 0.3, n_max)
         assert len(rs) == n_max + 1
         assert len(calls) == 1 and calls[0] >= max(2 * n_max, 1)
+
+    @pytest.mark.parametrize("kappa, x", ZERO_SEEDS)
+    def test_zero_seed_coefficient_deepens_the_pass(self, monkeypatch, kappa, x):
+        rec = dho_recurrence(DhoParams(kappa))
+        zero = next(n for n in range(1, 20) if rec.a(n, x) == 0.0)
+        depths = []
+        cf_ratios = charfunc._cf_ratios
+
+        def spy(*args, **kwargs):
+            depths.append(args[2])
+            return cf_ratios(*args, **kwargs)
+
+        monkeypatch.setattr(charfunc, "_cf_ratios", spy)
+        r0 = ratio_cf(rec, x)
+        assert depths[0] >= zero and rec.a(depths[0] + 1, x) != 0.0
+        assert r0 == pytest.approx(doubling_reference(rec, x), rel=1e-12, abs=0.0)
+        ev = char_series(rec, x)
+        assert ev.status is SeriesStatus.CONVERGED
+        assert ev.value == pytest.approx(rec.a(0, x) + r0, rel=1e-12, abs=0.0)
 
     def test_depth_cap_raises(self, monkeypatch):
         # at kappa = 0.7 the walk needs about 17 levels

@@ -25,6 +25,7 @@ from ttrspec import (
     flow,
     parity_rabi_recurrence,
     rabi_displaced_recurrence,
+    ratio_cf,
     resolve_spectrum,
     scan,
 )
@@ -52,6 +53,15 @@ class TestScan:
             scan(rec, 2.0, 1.0, 100)
         with pytest.raises(ValueError):
             scan(rec, 0.0, 1.0, 8)
+
+    def test_grid_through_a_zero_seed_coefficient(self):
+        # at x = 5, a_5 = 0 and the series takes a_0 + ratio_cf, whose
+        # walk must not seed its pass with -b_5/a_5
+        rec = dho_recurrence(DhoParams(0.01))
+        sr = scan(rec, 0.0, 10.0, 21)
+        (row,) = np.flatnonzero(sr.xs == 5.0)
+        backward = rec.a(0, 5.0) + ratio_cf(rec, 5.0)
+        assert sr.fs[row] == (backward, 0, SeriesStatus.CONVERGED, 0.0)
 
     def test_invariants(self):
         rec = dho_recurrence(DhoParams(0.7))
